@@ -111,15 +111,19 @@ def _run(args):
 
 
 def _print_table(report):
+    def rec(value):
+        return f"{'n/a':>9s}" if value is None else f"{value:9.2f}"
+
     print(f"{'mode':16s} " + " ".join(f"{t:>14s}" for t in report.tasks) + f" {'AVG':>8s} {'Rec.Perf':>9s}")
     base = " ".join(f"{report.base_scores[t] * 100:14.2f}" for t in report.tasks)
-    print(f"{'base (softmax)':16s} {base} {report.base_avg * 100:8.2f} {100.0:9.2f}")
+    print(f"{'base (softmax)':16s} {base} {report.base_avg * 100:8.2f} "
+          f"{rec(100.0 if report.base_avg > 0 else None)}")
     for mode in dict.fromkeys(m for m, *_ in report.rows):
         accs = {t: a for m, t, a, _l in report.rows if m == mode}
         cells = " ".join(f"{accs[t] * 100:14.2f}" for t in report.tasks)
         print(
             f"{mode.value:16s} {cells} {report.mode_avg(mode) * 100:8.2f} "
-            f"{report.recovered(mode):9.2f}"
+            f"{rec(report.recovered(mode))}"
         )
 
 

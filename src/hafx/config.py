@@ -165,26 +165,7 @@ class RunConfig:
             seed=v["seed"],
         )
 
-    def task_specs(self):
-        v = self.values
-        return [
-            TaskSpec(
-                kind=kind,
-                T=v["task.T"],
-                vocab=v["model.vocab_size"],
-                n_examples=v["task.n_examples"],
-                seed=v["seed"],
-                n_pairs=v["task.n_pairs"],
-                n_keys=v["task.n_keys"],
-                n_values=v["task.n_values"],
-                min_pairs=v["task.min_pairs"] or None,
-            )
-            for kind in v["task.kinds"]
-        ]
-
-    def transfer_specs(self):
-        """TaskSpecs for the conversion corpus; need not overlap task.kinds."""
-        kinds = self.values["task.transfer_kinds"] or self.values["task.kinds"]
+    def _specs(self, kinds):
         v = self.values
         return [
             TaskSpec(
@@ -200,6 +181,14 @@ class RunConfig:
             )
             for kind in kinds
         ]
+
+    def task_specs(self):
+        """TaskSpecs for base training and evaluation (`task.kinds`)."""
+        return self._specs(self.values["task.kinds"])
+
+    def transfer_specs(self):
+        """TaskSpecs for the conversion corpus; need not overlap task.kinds."""
+        return self._specs(self.values["task.transfer_kinds"] or self.values["task.kinds"])
 
     def output_dir(self):
         return os.environ.get("HAFX_OUTPUT_DIR", self.values["output_dir"])

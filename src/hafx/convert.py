@@ -5,6 +5,7 @@ fine-tune pipeline with early stopping."""
 import enum
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -154,118 +155,30 @@ def _batches(n, batch_size):
         yield np.arange(start, min(start + batch_size, n))
 
 
-def run_base_training(model: Model, cfg: TrainConfig, train, heldout,
-                      epochs, lr=None, checkpoint_fn=None):
-    """Full-parameter LM training with plain softmax attention; produces the
-    desk-scale stand-in for a pre-trained base model."""
-    model.set_trainable(lambda n: ".phi." not in n and ".lora_" not in n)
-    # constant lr: associative recall learns via a late phase transition, and
-    # decaying on the pre-transition plateau can prevent it entirely
-    opt = AdamW(model.trainable_parameters(), lr or cfg.lr_base,
-                cfg.betas, cfg.adam_eps, cfg.weight_decay)
-    attn = AttnSettings(kind="softmax")
-    report = StageReport(stage="base")
-    shuffle_rng = SeededRng(cfg.seed, "base/shuffle")
-    t0 = time.perf_counter()
-    for epoch in range(1, epochs + 1):
-        losses = []
-        # fresh batch composition every epoch: replaying identical batches in
-        # identical order removes the gradient noise the recall transition needs
-        order = shuffle_rng.child(str(epoch)).permutation(len(train["tokens"]))
-        step_idx = [order[b] for b in _batches(len(order), cfg.batch_size)]
-        for s in range(0, len(step_idx), cfg.accumulation):
-            group = step_idx[s:s + cfg.accumulation]
-            loss = None
-            for idx in group:
-                logits = model.forward_logits(train["tokens"][idx], attn)
-                mask = train["loss_mask"][idx] if "loss_mask" in train else None
-                part = lm_loss(logits, train["targets"][idx], mask)
-                loss = part if loss is None else loss + part
-            loss = loss * (1.0 / len(group))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        heldout_loss = evaluate_lm(model, heldout["tokens"], heldout["targets"],
-                                   attn, heldout.get("loss_mask"))
-        report.epoch_losses.append(float(np.mean(losses)))
-        report.eval_losses.append(heldout_loss)
-        if checkpoint_fn is not None:
-            report.checkpoints.append(checkpoint_fn(model, epoch))
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+def _lm_batch_loss(model, data, idx, attn):
+    """LM loss of rows `idx` of a dataset dict under `attn`."""
+    mask = data.get("loss_mask")
+    logits = model.forward_logits(data["tokens"][idx], attn)
+    return lm_loss(logits, data["targets"][idx], None if mask is None else mask[idx])
 
 
-def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,
-                           win=None, hy=None, epochs=None):
-    """Train only the feature maps against the frozen base model's attention.
+def _epoch(opt, batches, accumulation, step_attn, loss_fn):
+    """One epoch of optimisation steps: (mean step loss, guard count).
 
-    `data` is an int token array (N, T). The teacher is recomputed per batch
-    from the student's own hidden states under full softmax attention.
+    Each step's graph stays alive until the next step's first micro-batch
+    loss replaces it, and the last one is released when this frame returns,
+    before the held-out eval runs. Both matter: keeping the last graph
+    through the eval raises peak memory, and freeing each graph before the
+    next forward slows the steps.
     """
-    if model.phi is None:
-        raise ContractError("attach feature maps before attention transfer")
-    win = win or WindowSpec()
-    hy = hy or HybridSpec()
-    epochs = epochs or cfg.transfer_epochs
-    model.set_trainable(lambda n: ".phi." in n)
-    opt = AdamW(model.trainable_parameters(), cfg.lr_transfer,
-                cfg.betas, cfg.adam_eps, cfg.weight_decay)
-    report = StageReport(stage="post-transfer")
-    t0 = time.perf_counter()
-    base_attn = AttnSettings(kind="softmax")
-    for _epoch in range(epochs):
-        losses = []
-        reset_guard_count()
-        for idx in _batches(len(data), cfg.batch_size):
-            capture = []
-            model.forward_logits(data[idx], base_attn, capture=capture)
-            loss = None
-            for (_layer, _head, q, k, v) in capture:
-                part = transfer_loss(objective, q, k, v,
-                                     model.phi[_layer][_head], win, hy)
-                loss = part if loss is None else loss + part
-            loss = loss * (1.0 / model.cfg.n_heads)  # sum layers, mean heads
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        report.epoch_losses.append(float(np.mean(losses)))
-        report.guard_counts.append(guard_count())
-    report.wall_time_s = time.perf_counter() - t0
-    return report
-
-
-def finetune_epoch(model: Model, cfg: TrainConfig, ssd, data, targets, epoch,
-                   opt: AdamW, rng: SeededRng, win=None, hy=None, loss_mask=None):
-    """One LoRA fine-tuning epoch with optional scheduled SWA dropout.
-
-    A single dropout coin per optimisation step applies to all layers. A
-    dropped step zeroes the SWA branch (output = (1-g) (.) LA) with no
-    rescaling, matching the inference-time branch-zeroing algebra.
-    """
-    if model.lora is None:
-        raise ContractError("attach LoRA adapters before fine-tuning")
-    win = win or WindowSpec()
-    hy = hy or HybridSpec()
     losses = []
     reset_guard_count()
-    # Micro-batches grouped into optimisation steps of size `accumulation`.
-    step_idx = list(_batches(len(data), cfg.batch_size))
-    for s in range(0, len(step_idx), cfg.accumulation):
-        group = step_idx[s:s + cfg.accumulation]
-        if ssd is not None:
-            drop, window = ssd_sample(ssd, epoch, rng.child(f"ssd/{epoch}/{s}"))
-        else:
-            drop, window = False, win.window
-        mode = AblationMode.LA_ONLY if drop else AblationMode.FULL_HYBRID
-        attn = AttnSettings(kind="hybrid", mode=mode,
-                            win=WindowSpec(window, win.sink_count), hy=hy)
+    for s in range(0, len(batches), accumulation):
+        group = batches[s:s + accumulation]
+        attn = step_attn(s)
         loss = None
         for idx in group:
-            logits = model.forward_logits(data[idx], attn)
-            mask = loss_mask[idx] if loss_mask is not None else None
-            part = lm_loss(logits, targets[idx], mask)
+            part = loss_fn(idx, attn)
             loss = part if loss is None else loss + part
         loss = loss * (1.0 / len(group))
         opt.zero_grad()
@@ -275,48 +188,139 @@ def finetune_epoch(model: Model, cfg: TrainConfig, ssd, data, targets, epoch,
     return float(np.mean(losses)), guard_count()
 
 
-def evaluate_lm(model, data, targets, attn, loss_mask=None, batch_size=32):
-    """Held-out mean LM loss (no gradients)."""
+def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_fn,
+           accumulation, heldout=None, eval_attn=None, plateau=False,
+           checkpoint_fn=None, eval_gap_fn=None):
+    """The optimisation loop of every stage, over the model's trainable
+    parameters.
+
+    `batches(epoch)` lists the epoch's micro-batches (row-index arrays);
+    each run of `accumulation` of them is one step, whose loss is the mean of
+    `loss_fn(idx, step_attn(epoch, s))` over its micro-batches, where `s`
+    indexes the step's first micro-batch. After each 1-based epoch: the
+    held-out LM loss under `eval_attn` (when `heldout` is given), which
+    drives reduce-on-plateau if `plateau`; then `checkpoint_fn(model,
+    epoch)`; then an early stop once `eval_gap_fn(model)` is non-positive.
+    """
+    opt = AdamW(model.trainable_parameters(), lr, cfg.betas, cfg.adam_eps, cfg.weight_decay)
+    sched = ReduceOnPlateau(opt, cfg.plateau_factor, cfg.plateau_patience,
+                            cfg.plateau_min_delta) if plateau else None
+    report = StageReport(stage=stage)
+    t0 = time.perf_counter()
+    for epoch in range(1, epochs + 1):
+        loss, guards = _epoch(opt, batches(epoch), accumulation,
+                              partial(step_attn, epoch), loss_fn)
+        report.epoch_losses.append(loss)
+        report.guard_counts.append(guards)
+        if heldout is not None:
+            report.eval_losses.append(evaluate_lm(model, heldout, eval_attn))
+            if sched is not None:
+                sched.step(report.eval_losses[-1])
+        if checkpoint_fn is not None:
+            report.checkpoints.append(checkpoint_fn(model, epoch))
+        if eval_gap_fn is not None and eval_gap_fn(model) <= 0.0:
+            break
+    report.wall_time_s = time.perf_counter() - t0
+    return report
+
+
+def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs,
+                      checkpoint_fn=None):
+    """Full-parameter LM training with plain softmax attention; produces the
+    desk-scale stand-in for a pre-trained base model."""
+    model.set_trainable(lambda n: ".phi." not in n and ".lora_" not in n)
+    attn = AttnSettings(kind="softmax")
+    shuffle_rng = SeededRng(cfg.seed, "base/shuffle")
+
+    def batches(epoch):
+        # fresh batch composition every epoch: replaying identical batches in
+        # identical order removes the gradient noise the recall transition needs
+        order = shuffle_rng.child(str(epoch)).permutation(len(train["tokens"]))
+        return [order[b] for b in _batches(len(order), cfg.batch_size)]
+
+    # constant lr: associative recall learns via a late phase transition, and
+    # decaying on the pre-transition plateau can prevent it entirely
+    return _train(model, cfg, "base", cfg.lr_base, epochs, batches,
+                  lambda _epoch, _s: attn, partial(_lm_batch_loss, model, train),
+                  cfg.accumulation, heldout=heldout, eval_attn=attn,
+                  checkpoint_fn=checkpoint_fn)
+
+
+def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,
+                           win=None, hy=None, epochs=None):
+    """Train only the feature maps against the frozen base model's attention.
+
+    `data` is an int token array (N, T). The teacher is recomputed per batch
+    from the student's own hidden states under full softmax attention. Each
+    batch is one optimisation step.
+    """
+    if model.phi is None:
+        raise ContractError("attach feature maps before attention transfer")
+    win = win or WindowSpec()
+    hy = hy or HybridSpec()
+    model.set_trainable(lambda n: ".phi." in n)
+    batches = list(_batches(len(data), cfg.batch_size))
+
+    def loss_fn(idx, attn):
+        capture = []
+        model.forward_logits(data[idx], attn, capture=capture)
+        loss = None
+        for (layer, head, q, k, v) in capture:
+            part = transfer_loss(objective, q, k, v, model.phi[layer][head], win, hy)
+            loss = part if loss is None else loss + part
+        return loss * (1.0 / model.cfg.n_heads)  # sum layers, mean heads
+
+    base_attn = AttnSettings(kind="softmax")
+    return _train(model, cfg, "post-transfer", cfg.lr_transfer,
+                  epochs or cfg.transfer_epochs, lambda _epoch: batches,
+                  lambda _epoch, _s: base_attn, loss_fn, accumulation=1)
+
+
+def evaluate_lm(model, data, attn, batch_size=32):
+    """Held-out mean LM loss of a dataset dict (no gradients)."""
     total, count = 0.0, 0
-    for idx in _batches(len(data), batch_size):
-        logits = model.forward_logits(data[idx], attn)
-        mask = loss_mask[idx] if loss_mask is not None else None
-        total += float(lm_loss(logits, targets[idx], mask).data) * len(idx)
+    for idx in _batches(len(data["tokens"]), batch_size):
+        loss = _lm_batch_loss(model, data, idx, attn)
+        total += float(loss.data) * len(idx)
         count += len(idx)
     return total / count
 
 
 def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout,
                  win=None, hy=None, checkpoint_fn=None, epochs=None,
-                 train_phi=False):
-    """LoRA fine-tuning loop with reduce-on-plateau on a held-out loss."""
+                 eval_gap_fn=None):
+    """LoRA fine-tuning with optional scheduled SWA dropout, reduce-on-plateau
+    on a held-out loss, and an early stop once `eval_gap_fn(model)` is
+    non-positive.
+
+    A single dropout coin per optimisation step applies to all layers. A
+    dropped step zeroes the SWA branch (output = (1-g) (.) LA) with no
+    rescaling, matching the inference-time branch-zeroing algebra.
+    """
+    if model.lora is None:
+        raise ContractError("attach LoRA adapters before fine-tuning")
     win = win or WindowSpec()
     hy = hy or HybridSpec()
-    epochs = epochs if epochs is not None else cfg.finetune_epochs
-    model.set_trainable(lambda n: ".lora_" in n or (train_phi and ".phi." in n))
-    opt = AdamW(model.trainable_parameters(), cfg.lr_finetune,
-                cfg.betas, cfg.adam_eps, cfg.weight_decay)
-    sched = ReduceOnPlateau(opt, cfg.plateau_factor, cfg.plateau_patience,
-                            cfg.plateau_min_delta)
+    model.set_trainable(lambda n: ".lora_" in n)
     rng = SeededRng(cfg.seed, "finetune")
-    report = StageReport(stage="post-finetune")
-    t0 = time.perf_counter()
+    batches = list(_batches(len(train["tokens"]), cfg.batch_size))
+
+    def step_attn(epoch, s):
+        if ssd is not None:
+            drop, window = ssd_sample(ssd, epoch, rng.child(f"ssd/{epoch}/{s}"))
+        else:
+            drop, window = False, win.window
+        mode = AblationMode.LA_ONLY if drop else AblationMode.FULL_HYBRID
+        return AttnSettings(kind="hybrid", mode=mode,
+                            win=WindowSpec(window, win.sink_count), hy=hy)
+
     eval_attn = AttnSettings(kind="hybrid", mode=AblationMode.FULL_HYBRID,
                              win=win, hy=hy)
-    for epoch in range(1, epochs + 1):
-        loss, guards = finetune_epoch(
-            model, cfg, ssd, train["tokens"], train["targets"], epoch, opt, rng,
-            win=win, hy=hy, loss_mask=train.get("loss_mask"))
-        heldout_loss = evaluate_lm(model, heldout["tokens"], heldout["targets"],
-                                   eval_attn, heldout.get("loss_mask"))
-        sched.step(heldout_loss)
-        report.epoch_losses.append(loss)
-        report.eval_losses.append(heldout_loss)
-        report.guard_counts.append(guards)
-        if checkpoint_fn is not None:
-            report.checkpoints.append(checkpoint_fn(model, epoch))
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    return _train(model, cfg, "post-finetune", cfg.lr_finetune,
+                  epochs if epochs is not None else cfg.finetune_epochs,
+                  lambda _epoch: batches, step_attn, partial(_lm_batch_loss, model, train),
+                  cfg.accumulation, heldout=heldout, eval_attn=eval_attn, plateau=True,
+                  checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)
 
 
 def run_hedgecats(model: Model, cfg: TrainConfig, stage2_epochs, transfer_data,
@@ -325,42 +329,15 @@ def run_hedgecats(model: Model, cfg: TrainConfig, stage2_epochs, transfer_data,
     """Two-stage conversion: LA-only attention-weights transfer, then brief
     hybrid LoRA fine-tuning with early stopping on the hybrid-vs-SWA-only
     eval gap (stop once the gap is non-positive)."""
-    win = win or WindowSpec()
-    hy = hy or HybridSpec()
     stage1 = run_attention_transfer(model, TransferObjective.WEIGHTS_CE, cfg,
                                     transfer_data, win=win, hy=hy)
     if checkpoint_fn is not None:
         stage1.checkpoints.append(checkpoint_fn(model, 0))
-    if stage2_epochs == 0:
-        return stage1, StageReport(stage="post-finetune")
-
     if model.lora is None:
         model.lora_attach()
-    model.set_trainable(lambda n: ".lora_" in n)
-    opt = AdamW(model.trainable_parameters(), cfg.lr_finetune,
-                cfg.betas, cfg.adam_eps, cfg.weight_decay)
-    sched = ReduceOnPlateau(opt, cfg.plateau_factor, cfg.plateau_patience,
-                            cfg.plateau_min_delta)
-    rng = SeededRng(cfg.seed, "hedgecats-ft")
-    stage2 = StageReport(stage="post-finetune")
-    eval_attn = AttnSettings(kind="hybrid", mode=AblationMode.FULL_HYBRID,
-                             win=win, hy=hy)
-    t0 = time.perf_counter()
-    for epoch in range(1, stage2_epochs + 1):
-        loss, guards = finetune_epoch(
-            model, cfg, None, train["tokens"], train["targets"], epoch, opt, rng,
-            win=win, hy=hy, loss_mask=train.get("loss_mask"))
-        heldout_loss = evaluate_lm(model, heldout["tokens"], heldout["targets"],
-                                   eval_attn, heldout.get("loss_mask"))
-        sched.step(heldout_loss)
-        stage2.epoch_losses.append(loss)
-        stage2.eval_losses.append(heldout_loss)
-        stage2.guard_counts.append(guards)
-        if checkpoint_fn is not None:
-            stage2.checkpoints.append(checkpoint_fn(model, epoch))
-        if eval_gap_fn is not None and eval_gap_fn(model) <= 0.0:
-            break
-    stage2.wall_time_s = time.perf_counter() - t0
+    stage2 = run_finetune(model, cfg, None, train, heldout, win=win, hy=hy,
+                          checkpoint_fn=checkpoint_fn, epochs=stage2_epochs,
+                          eval_gap_fn=eval_gap_fn)
     return stage1, stage2
 
 

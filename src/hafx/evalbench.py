@@ -39,9 +39,14 @@ def recovered_performance(mode_avg, base_avg):
 
 
 def evaluate_task(model, data, attn: AttnSettings, batch_size=32):
-    """(accuracy, mean loss, n_scored) on a task's scored positions."""
+    """(accuracy, mean loss, n_scored) on a task's scored positions.
+
+    Each batch's loss is weighted by its row count; every row of a task has
+    the same number of scored positions, so this is the exact mean over
+    scored positions whatever the size of the last batch.
+    """
     correct, scored = 0, 0
-    total_loss, n_batches = 0.0, 0
+    total_loss = 0.0
     tokens, targets = data["tokens"], data["targets"]
     acc_mask, loss_mask = data["acc_mask"], data["loss_mask"]
     for start in range(0, len(tokens), batch_size):
@@ -51,9 +56,8 @@ def evaluate_task(model, data, attn: AttnSettings, batch_size=32):
         m = acc_mask[idx]
         correct += int((pred[m] == targets[idx][m]).sum())
         scored += int(m.sum())
-        total_loss += float(lm_loss(logits, targets[idx], loss_mask[idx]).data)
-        n_batches += 1
-    return correct / scored, total_loss / n_batches, scored
+        total_loss += float(lm_loss(logits, targets[idx], loss_mask[idx]).data) * len(m)
+    return correct / scored, total_loss / len(tokens), scored
 
 
 @dataclass
@@ -72,13 +76,19 @@ class EvalReport:
         return float(np.mean(accs))
 
     def recovered(self, mode):
+        """Recovered performance of `mode`; None when the softmax base
+        scores 0, where the percentage is undefined."""
+        if self.base_avg <= 0:
+            return None
         return recovered_performance(self.mode_avg(mode), self.base_avg)
 
     def csv_rows(self):
-        """stage, mode, task, metric, value, recovered_pct (schema-stable)."""
+        """stage, mode, task, metric, value, recovered_pct (schema-stable);
+        recovered_pct is empty when undefined."""
         out = []
         for mode, task, acc, loss in self.rows:
             rec = self.recovered(mode)
+            rec = "" if rec is None else rec
             out.append((self.stage, mode.value, task, "accuracy", acc, rec))
             out.append((self.stage, mode.value, task, "loss", loss, rec))
         return out

@@ -39,15 +39,19 @@ def append_jsonl(path, record):
         f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _merged_split(cfg: RunConfig, specs, split):
+    return merge_datasets([gen_task(s, split) for s in specs], seed=cfg["seed"])
+
+
 def build_datasets(cfg: RunConfig):
-    """Per-task train/eval splits plus the merged training mixture."""
-    train, evals = {}, {}
-    for spec in cfg.task_specs():
-        train[spec.kind] = gen_task(spec, "train")
-        evals[spec.kind] = gen_task(spec, "eval")
-    merged_train = merge_datasets(list(train.values()), seed=cfg["seed"])
-    merged_eval = merge_datasets(list(evals.values()), seed=cfg["seed"])
-    return train, evals, merged_train, merged_eval
+    """Merged train/eval splits of the base-training tasks (`task.kinds`)."""
+    specs = cfg.task_specs()
+    return _merged_split(cfg, specs, "train"), _merged_split(cfg, specs, "eval")
+
+
+def eval_datasets(cfg: RunConfig):
+    """Per-task eval splits of `task.kinds`, keyed by task kind."""
+    return {spec.kind: gen_task(spec, "eval") for spec in cfg.task_specs()}
 
 
 def conversion_datasets(cfg: RunConfig):
@@ -56,13 +60,7 @@ def conversion_datasets(cfg: RunConfig):
     the desk-scale analogue of converting on generic text rather than on the
     evaluation benchmarks."""
     specs = cfg.transfer_specs()
-    conv_train = merge_datasets(
-        [gen_task(s, "train") for s in specs], seed=cfg["seed"]
-    )
-    conv_eval = merge_datasets(
-        [gen_task(s, "eval") for s in specs], seed=cfg["seed"]
-    )
-    return conv_train, conv_eval
+    return _merged_split(cfg, specs, "train"), _merged_split(cfg, specs, "eval")
 
 
 def eval_windows(cfg: RunConfig, tasks):
@@ -89,7 +87,7 @@ def _get_base_model(cfg: RunConfig, base_ckpt, out, stages_path):
     if base_ckpt:
         model, stage = load_model(base_ckpt)
         return model
-    _, _, merged_train, merged_eval = build_datasets(cfg)
+    merged_train, merged_eval = build_datasets(cfg)
     model = init_model(cfg.model_config())
     report = run_base_training(
         model, cfg.train_config(), merged_train, merged_eval, cfg["train.base_epochs"]
@@ -107,7 +105,8 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     model = _get_base_model(cfg, base_ckpt, out, stages)
     if model.phi is None:
         model.attach_feature_maps(cfg.d_prime(), cfg.activation())
-    conv_train, _ = conversion_datasets(cfg)
+    # attention transfer has no held-out eval, so only the train split is built
+    conv_train = _merged_split(cfg, cfg.transfer_specs(), "train")
     report = run_attention_transfer(
         model,
         objective or cfg.objective(),
@@ -166,7 +165,7 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
     if model.phi is None:
         model.attach_feature_maps(cfg.d_prime(), cfg.activation())
     model.lora_attach(tuple(cfg["lora.targets"]), cfg["lora.rank"], cfg["lora.alpha"])
-    _, evals, _, _ = build_datasets(cfg)
+    evals = eval_datasets(cfg)
     conv_train, conv_eval = conversion_datasets(cfg)
     wins = eval_windows(cfg, evals)
 
@@ -220,7 +219,7 @@ def cmd_ssd_run(cfg: RunConfig, base_ckpt=None):
 def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, stage=None, csv_name="ablation.csv"):
     out = _prepare_out(cfg)
     model, ckpt_stage = load_model(ckpt)
-    _, evals, _, _ = build_datasets(cfg)
+    evals = eval_datasets(cfg)
     report = evaluate_ablations(
         model,
         evals,
@@ -239,7 +238,7 @@ def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, stage=None, csv_name="abla
 
 def cmd_eval(cfg: RunConfig, ckpt, mode=AblationMode.FULL_HYBRID, softmax=False):
     model, stage = load_model(ckpt)
-    _, evals, _, _ = build_datasets(cfg)
+    evals = eval_datasets(cfg)
     wins = eval_windows(cfg, evals)
     results = {}
     for name, data in evals.items():

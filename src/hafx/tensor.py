@@ -5,20 +5,17 @@ rule on the output node, and ``backward`` replays the recorded nodes once in
 reverse topological order. Everything is computed in float64; checkpoints
 may downcast to float32 on disk.
 
-A module-level NaN/Inf guard aborts any forward op whose output is not
-finite, so silent divergence cannot leak into diagnostics.
+A NaN/Inf guard aborts any forward op whose output is not finite, so
+silent divergence cannot leak into diagnostics.
 """
 
 import numpy as np
 
 from .errors import ContractError, NonFiniteError, ShapeError
 
-# Forward ops raise NonFiniteError on NaN/Inf output when enabled.
-NAN_GUARD = True
-
 
 def _check_finite(arr, op_name):
-    if NAN_GUARD and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values produced by op '{op_name}'")
 
 
@@ -56,9 +53,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -336,16 +330,6 @@ def concat(tensors, axis=0):
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return Tensor._op(data, tuple(tensors), bw, "concat")
-
-
-def stack(tensors, axis=0):
-    tensors = [Tensor._coerce(t) for t in tensors]
-
-    def bw(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    data = np.stack([t.data for t in tensors], axis=axis)
-    return Tensor._op(data, tuple(tensors), bw, "stack")
 
 
 def row_softmax(x):

@@ -157,3 +157,29 @@ def test_write_csv_fixed_float_format(tmp_path):
     path = tmp_path / "v.csv"
     write_csv(path, ("x",), [(0.1 + 0.2,), (3,), ("s",)])
     assert path.read_text() == "x\n0.300000\n3\ns\n"
+
+
+# -- pipelines ------------------------------------------------------------------
+
+
+def test_ssd_run_resumes_from_the_saved_transfer_checkpoint(tmp_path, monkeypatch):
+    """ssd-run is transfer, then SSD fine-tuning from the float32
+    post-transfer.ckpt on disk, not from the float64 model in memory: its
+    post-finetune.ckpt is byte-identical to the two commands run apart."""
+    from hafx.pipelines import cmd_finetune, cmd_ssd_run, cmd_transfer
+
+    cfg = parse_config(
+        "seed = 3\nmodel.vocab_size = 32\nmodel.d_model = 16\nmodel.n_layers = 1\n"
+        "model.n_heads = 2\nmodel.mlp_width = 32\nmodel.max_T = 32\nattn.window = 8\n"
+        "ssd.dropout = 0.5\nssd.window = 4,8\ntask.T = 16\ntask.n_examples = 64\n"
+        "task.n_pairs = 4\ntask.n_keys = 4\ntask.n_values = 4\ntrain.base_epochs = 1\n"
+        "train.finetune_epochs = 2\ntrain.batch_size = 8\ntrain.accumulation = 2\n"
+    )
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(together))
+    cmd_ssd_run(cfg)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(apart))
+    cmd_transfer(cfg)
+    cmd_finetune(cfg, str(apart / "post-transfer.ckpt"), use_ssd=True)
+    for name in ("post-transfer.ckpt", "post-finetune.ckpt"):
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name

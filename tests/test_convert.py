@@ -15,16 +15,16 @@ from hafx.convert import (
     SSDSchedule,
     TrainConfig,
     TransferObjective,
-    finetune_epoch,
     inference_time_hybrid,
     run_attention_transfer,
+    run_base_training,
     run_finetune,
     run_hedgecats,
     ssd_sample,
     transfer_loss,
 )
 from hafx.errors import ConfigError, ContractError
-from hafx.model import ModelConfig, init_model
+from hafx.model import Model, ModelConfig, init_model
 from hafx.optim import LR_FLOOR, AdamW, ReduceOnPlateau
 from hafx.rng import SeededRng
 from hafx.tensor import Tensor, finite_diff_check
@@ -278,10 +278,8 @@ def test_finetune_requires_lora():
     model = init_model(TINY)
     model.attach_feature_maps(4)
     data = tiny_data()
-    opt = AdamW({}, lr=1e-4)
     with pytest.raises(ContractError):
-        finetune_epoch(model, TrainConfig(), None, data["tokens"], data["targets"],
-                       1, opt, SeededRng(0, "ft"))
+        run_finetune(model, TrainConfig(), None, data, data)
 
 
 def test_finetune_deterministic_across_runs():
@@ -364,9 +362,49 @@ def test_full_dropout_epoch_never_uses_swa(monkeypatch):
     model.attach_feature_maps(4)
     model.lora_attach(rank=2)
     data = tiny_data(n=8)
-    cfg = TrainConfig(batch_size=4, accumulation=1, seed=4)
-    opt = AdamW(model.trainable_parameters(), 1e-4)
-    finetune_epoch(model, cfg, SSDSchedule([1.0], [4]), data["tokens"],
-                   data["targets"], 1, opt, SeededRng(4, "drop"),
-                   win=WindowSpec(4), hy=HybridSpec(0.5))
+    cfg = TrainConfig(batch_size=4, accumulation=1, finetune_epochs=1, seed=4)
+    run_finetune(model, cfg, SSDSchedule([1.0], [4]), data, data,
+                 win=WindowSpec(4), hy=HybridSpec(0.5))
     assert seen and all(seen)
+
+
+def test_loop_rng_streams(monkeypatch):
+    """The streams that make reruns byte-identical: base batches are drawn
+    from base/shuffle/{epoch}; each SSD coin from finetune/ssd/{epoch}/{s},
+    where s indexes the step's first micro-batch, so with accumulation 2
+    s = 0, 2, ... and both micro-batches of a step share its coin."""
+    seen = []  # (tokens, attn) of every forward
+    orig = Model.forward_logits
+
+    def spy(self, tokens, attn, *a, **k):
+        seen.append((np.array(tokens), attn))
+        return orig(self, tokens, attn, *a, **k)
+
+    monkeypatch.setattr(Model, "forward_logits", spy)
+    train, heldout = tiny_data(n=8), tiny_data(n=4, seed=1)
+    model = init_model(TINY)
+    run_base_training(model, TrainConfig(batch_size=2, accumulation=2, seed=7),
+                      train, heldout, 2)
+    expected = []
+    for epoch in (1, 2):
+        order = SeededRng(7, f"base/shuffle/{epoch}").permutation(8)
+        expected += [train["tokens"][order[i:i + 2]] for i in range(0, 8, 2)]
+        expected.append(heldout["tokens"])
+    assert len(seen) == len(expected)
+    assert all((tokens == want).all() for (tokens, _), want in zip(seen, expected))
+
+    seen.clear()
+    model.attach_feature_maps(4)
+    model.lora_attach(rank=2)
+    ssd = SSDSchedule([0.5], [4, 8])
+    cfg = TrainConfig(batch_size=2, accumulation=2, finetune_epochs=2, seed=6)
+    run_finetune(model, cfg, ssd, train, heldout, win=WindowSpec(4), hy=HybridSpec(0.5))
+    expected = []
+    for epoch in (1, 2):
+        for s in (0, 2):
+            drop, window = ssd_sample(ssd, epoch, SeededRng(6, f"finetune/ssd/{epoch}/{s}"))
+            mode = AblationMode.LA_ONLY if drop else AblationMode.FULL_HYBRID
+            expected += [(mode, window)] * 2
+        expected.append((AblationMode.FULL_HYBRID, 4))  # held-out eval
+    assert [(attn.mode, attn.win.window) for _, attn in seen] == expected
+    assert {mode for mode, _ in expected} == {AblationMode.LA_ONLY, AblationMode.FULL_HYBRID}

@@ -12,7 +12,7 @@ from hafx.evalbench import (
     evaluate_task,
     recovered_performance,
 )
-from hafx.model import AttnSettings, ModelConfig, init_model
+from hafx.model import AttnSettings, ModelConfig, init_model, lm_loss
 from hafx.tasks import CHAR_OFFSET, MARKER, TaskSpec, gen_task, merge_datasets
 
 TINY = ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2, max_T=32, mlp_width=32)
@@ -133,6 +133,19 @@ def test_evaluate_task_counts_scored_positions(eval_setup):
     assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 
 
+def test_evaluate_task_loss_is_mean_over_scored_positions():
+    # 40 rows: one batch of 32 and a short one of 8
+    model = init_model(ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+                                   max_T=16, mlp_width=32))
+    data = gen_task(TaskSpec(kind="char_lm", T=16, vocab=64, n_examples=160), "eval")
+    assert len(data["tokens"]) == 40
+    attn = AttnSettings(kind="softmax")
+    _acc, loss, _n = evaluate_task(model, data, attn)
+    direct = lm_loss(model.forward_logits(data["tokens"], attn), data["targets"],
+                     data["loss_mask"])
+    assert abs(loss - float(direct.data)) < 1e-12
+
+
 def test_evaluate_ablations_row_schema(eval_setup):
     model, tasks = eval_setup
     # untrained model can score exactly zero, so pin the base accuracy
@@ -165,6 +178,27 @@ def test_eval_report_arithmetic():
     assert abs(report.base_avg - 0.7) < 1e-12
     assert abs(report.mode_avg(AblationMode.SWA_ONLY) - 0.35) < 1e-12
     assert abs(report.recovered(AblationMode.SWA_ONLY) - 50.0) < 1e-9
+
+
+def test_eval_report_with_zero_softmax_base(tmp_path, capsys):
+    from hafx.cli import _print_table
+    from hafx.pipelines import write_csv
+
+    report = EvalReport(stage="s", tasks=["a"], base_scores={"a": 0.0})
+    report.rows = [
+        (AblationMode.FULL_HYBRID, "a", 0.25, 1.5),
+        (AblationMode.LA_ONLY, "a", 0.0, 2.0),
+    ]
+    assert report.recovered(AblationMode.FULL_HYBRID) is None
+    path = write_csv(tmp_path / "ablation.csv",
+                     ("stage", "mode", "task", "metric", "value", "recovered_pct"),
+                     report.csv_rows())
+    lines = path.read_text().splitlines()
+    assert lines[1] == "s,full_hybrid,a,accuracy,0.250000,"
+    assert len(lines) == 5 and all(line.endswith(",") for line in lines[1:])
+    _print_table(report)
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 4 and all(line.endswith("n/a") for line in table[1:])
 
 
 # -- benchmark ----------------------------------------------------------------
