@@ -3,9 +3,9 @@ attention sinks, feature-mapped linear attention, RoPE, and the hybrid
 combiner with its ablation modes.
 
 All kernels take tensors shaped (..., T, d) and are pure functions, so
-batched/multi-head evaluation is just broadcasting. The streaming O(T)
-linear-attention path lives in `backend`; the masked kernel-matrix form here
-is the differentiable training path and is held to agree with it.
+batched/multi-head evaluation is just broadcasting. Linear attention has one
+kernel, the chunkwise O(T) `linear_attention`; the masked kernel-matrix form
+and the numpy oracles below are references it is held to.
 """
 
 import enum
@@ -19,6 +19,7 @@ from ..tensor import Tensor, concat, row_softmax
 
 MASK_NEG = -1e30  # additive mask; underflows to exact 0 after softmax shift
 LA_EPS = 1e-6  # denominator guard for linear-attention normalisation
+LA_CHUNK = 64  # queries per chunk of `linear_attention`
 
 # Count of positions whose LA denominator was clamped, keyed for diagnostics.
 _GUARD_COUNT = 0
@@ -200,11 +201,11 @@ def feature_map_apply(params, x):
 
 
 def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS):
-    """Normalised linear attention via a masked kernel matrix.
+    """Normalised linear attention via a masked (T, T) kernel matrix.
 
-    Differentiable path; mathematically identical to the streaming form but
-    keeps the (T, T) kernel so gradients are plain matmuls. Denominators
-    below eps are clamped and counted.
+    The reference form of `linear_attention`: with `causal_mult_mask(T)` or
+    `lagged_mult_mask(T, lag)` it is the same attention at O(T^2) cost.
+    Denominators below eps are clamped and counted.
     """
     kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(mult_mask)
     num = kernel @ v
@@ -213,9 +214,61 @@ def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS):
     return num / den.clamp_min(eps)
 
 
-def linear_attention_causal(phi_q, phi_k, v, eps=LA_EPS):
+def _rows(x, start, stop):
+    """x[..., start:stop, :], or x itself when that is every row."""
+    return x if (start, stop) == (0, x.shape[-2]) else x[..., start:stop, :]
+
+
+def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS):
+    """Normalised linear attention where query t sees the keys i <= t - lag.
+
+    Queries run in chunks of LA_CHUNK (the chunkwise form of GLA, Yang et
+    al. 2023, over the causal recurrence of Katharopoulos et al. 2020).
+    Chunk [s, e) sees the key block [max(s - lag, 0), e) through a 0/1 mask
+    and every earlier key through the running state S = sum phi_k^T v,
+    z = sum phi_k; after each chunk the keys that left the window join the
+    state. The cost is O(T (LA_CHUNK + lag)). Up to LA_CHUNK tokens are one
+    chunk, which is exactly the masked form `linear_attention_masked`.
+    Denominators below eps are clamped and counted, so a query with no keys
+    gets an exact 0.
+    """
     T = phi_q.shape[-2]
-    return linear_attention_masked(phi_q, phi_k, v, causal_mult_mask(T), eps)
+    pos = np.arange(T)
+    outs, S, z = [], None, None
+    for s in range(0, T or 1, LA_CHUNK):  # an empty sequence is one empty chunk
+        e = min(s + LA_CHUNK, T)
+        lo = max(s - lag, 0)
+        q = _rows(phi_q, s, e)
+        mask = (pos[None, lo:e] <= pos[s:e, None] - lag).astype(np.float64)
+        kernel = (q @ _rows(phi_k, lo, e).swapaxes(-1, -2)) * Tensor(mask)
+        num = kernel @ _rows(v, lo, e)
+        den = kernel.sum(axis=-1, keepdims=True)
+        if S is not None:
+            num = num + q @ S
+            den = den + q @ z
+        _note_guards(np.count_nonzero(den.data < eps))
+        outs.append(num / den.clamp_min(eps))
+        hi = max(e - lag, 0)  # where the next chunk's key block starts
+        if e < T and hi > lo:
+            k_out = _rows(phi_k, lo, hi).swapaxes(-1, -2)
+            dS, dz = k_out @ _rows(v, lo, hi), k_out.sum(axis=-1, keepdims=True)
+            S, z = (dS, dz) if S is None else (S + dS, z + dz)
+    return outs[0] if len(outs) == 1 else concat(outs, axis=-2)
+
+
+def streaming_state_bytes(d_prime2, d_v, itemsize=8):
+    """Footprint of the running state: S (F x d_v) plus z (F); T-free."""
+    return (d_prime2 * d_v + d_prime2) * itemsize
+
+
+def linear_attention_streaming(phi_q, phi_k, v, eps=LA_EPS):
+    """`linear_attention` with lag 0 on numpy arrays.
+
+    Returns (out: T x d_v, the number of denominators this call clamped).
+    """
+    before = guard_count()
+    out = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), eps=eps)
+    return out.data, guard_count() - before
 
 
 def linear_attention_quadratic_oracle(phi_q, phi_k, v, eps=LA_EPS):
@@ -230,12 +283,35 @@ def linear_attention_quadratic_oracle(phi_q, phi_k, v, eps=LA_EPS):
     return (kernel @ v) / den
 
 
+def softmax_attention_full_np(q, k, v):
+    """Plain-numpy causal softmax attention that materialises the T x T
+    score matrix; the quadratic reference path for the scaling benchmark.
+
+    The only T x T allocation is the float64 score matrix (T*T*8 bytes, the
+    auxiliary state the benchmark reports); masking, the max shift, exp and
+    normalisation run in place on it, with O(T) row temporaries besides.
+    Both products use einsum, which runs on the calling thread; `@` would
+    hand them to the BLAS thread pool, whose speed depends on whether the
+    machine's other cores are idle.
+    """
+    T, d = q.shape
+    scores = np.einsum("td,sd->ts", q, k)
+    scores *= 1.0 / np.sqrt(d)
+    for t in range(T - 1):
+        scores[t, t + 1:] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return np.einsum("ts,sd->td", scores, v)
+
+
 def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False):
     """a (.) SWA + b (.) LA with a = g*1, b = (1-g)*1, plus ablation modes.
 
     q and k are expected post-RoPE; the SWA branch consumes them raw while
     the LA branch consumes phi(q), phi(k). In non-overlap mode the LA branch
-    only sees keys outside the sliding window (empty context -> exact zero).
+    only sees keys outside the sliding window, i <= t - window (empty
+    context -> exact zero); in overlap mode it sees every causal key.
     """
     T, d_v = q.shape[-2], v.shape[-1]
     zeros = Tensor(np.zeros(v.shape[:-2] + (T, d_v)))
@@ -254,10 +330,9 @@ def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False):
         swa_branch = sliding_window_attention(q, k, v, win.window)
     if mode in (AblationMode.FULL_HYBRID, AblationMode.LA_ONLY, AblationMode.HYBRID_OVERLAP):
         overlap = hy.overlap or mode is AblationMode.HYBRID_OVERLAP
-        mask = causal_mult_mask(T) if overlap else lagged_mult_mask(T, win.window)
         phi_q = feature_map_apply(phi, q)
         phi_k = feature_map_apply(phi, k)
-        la_branch = linear_attention_masked(phi_q, phi_k, v, mask)
+        la_branch = linear_attention(phi_q, phi_k, v, lag=0 if overlap else win.window)
 
     out = g * swa_branch + (1.0 - g) * la_branch
     return (out, swa_branch, la_branch) if return_branches else out

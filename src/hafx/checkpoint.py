@@ -10,13 +10,15 @@ The meta block carries the model config echo, feature-map/LoRA metadata,
 and the stage tag (base / post-transfer / post-finetune).
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
 
 from .attention import Activation
-from .errors import BadMagicError, TruncatedFileError, VersionMismatchError
+from .errors import BadMagicError, CheckpointError, TruncatedFileError, VersionMismatchError
 from .model import Model, ModelConfig, init_model
 
 MAGIC = b"HAFX"
@@ -31,12 +33,31 @@ def _read_exact(f, n):
     return buf
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """`open(<path>.tmp, mode, **kwargs)`; the file replaces `path` when the
+    block ends.
+
+    If the block raises, `path` keeps its earlier contents and the
+    temporary file is removed.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, tensors, meta, stage):
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}")
     meta = dict(meta, stage=stage)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(blob)))
@@ -88,7 +109,11 @@ def save_model(path, model: Model, stage):
 
 
 def load_model(path):
-    """Rebuild a Model (float64 working precision) from a checkpoint."""
+    """Rebuild a Model (float64 working precision) from a checkpoint.
+
+    Every tensor must belong to the model the meta block describes, with the
+    shape of that parameter and finite values.
+    """
     tensors, meta = load_checkpoint(path)
     cfg = ModelConfig(**meta["config"])
     model = init_model(cfg)
@@ -103,6 +128,15 @@ def load_model(path):
     missing = set(params) - set(tensors)
     if missing:
         raise TruncatedFileError(f"{path}: missing tensors {sorted(missing)[:4]}")
+    unknown = sorted(set(tensors) - set(params))
+    if unknown:
+        raise CheckpointError(f"{path}: tensor {unknown[0]!r} is not a parameter of the model")
     for name, p in params.items():
-        p.data = tensors[name].astype(np.float64)
+        arr = tensors[name]
+        if arr.shape != p.shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, expected {p.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+        p.data = arr.astype(np.float64)
     return model, meta["stage"]

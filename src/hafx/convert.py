@@ -13,12 +13,13 @@ from .attention import (
     AblationMode,
     HybridSpec,
     WindowSpec,
+    feature_map_apply,
     guard_count,
-    linear_attention_masked,
+    hybrid_attention,
+    linear_attention,
     reset_guard_count,
-    sliding_window_attention,
 )
-from .attention.ops import causal_mult_mask, lagged_mult_mask
+from .attention.ops import causal_mult_mask
 from .errors import ConfigError, ContractError
 from .model import AttnSettings, Model, lm_loss
 from .optim import AdamW, ReduceOnPlateau
@@ -119,34 +120,26 @@ def transfer_loss(objective, q, k, v, phi, win, hy):
     q, k, v are post-RoPE numpy constants from the frozen base projections;
     the teacher is the full causal softmax computed from them.
     """
-    from .attention import feature_map_apply
-
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    T = q.shape[-2]
     qt, kt, vt = Tensor(q), Tensor(k), Tensor(v)
-    phi_q = feature_map_apply(phi, qt)
-    phi_k = feature_map_apply(phi, kt)
 
-    if objective is TransferObjective.WEIGHTS_CE:
-        teacher = _teacher_weights(q, k)
-        kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(causal_mult_mask(T))
-        p = kernel / kernel.sum(axis=-1, keepdims=True).clamp_min(CE_LOG_EPS)
-        ce = -(Tensor(teacher) * (p + CE_LOG_EPS).log()).sum(axis=-1)
-        return ce.mean()
-
-    teacher_out = _teacher_weights(q, k) @ v
-    if objective is TransferObjective.OUTPUTS_MSE:
-        student = linear_attention_masked(phi_q, phi_k, vt, causal_mult_mask(T))
-    elif objective is TransferObjective.HYBRID_OUTPUTS_MSE:
-        mask = causal_mult_mask(T) if hy.overlap else lagged_mult_mask(T, win.window)
-        la = linear_attention_masked(phi_q, phi_k, vt, mask)
-        swa = sliding_window_attention(qt, kt, vt, win.window)
-        student = hy.g * swa + (1.0 - hy.g) * la
-    else:  # pragma: no cover
-        raise ValueError(objective)
-    diff = student - Tensor(teacher_out)
+    if objective is TransferObjective.HYBRID_OUTPUTS_MSE:
+        student = hybrid_attention(qt, kt, vt, phi, win, hy, AblationMode.FULL_HYBRID)
+    else:
+        phi_q = feature_map_apply(phi, qt)
+        phi_k = feature_map_apply(phi, kt)
+        if objective is TransferObjective.WEIGHTS_CE:
+            teacher = _teacher_weights(q, k)
+            kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(causal_mult_mask(q.shape[-2]))
+            p = kernel / kernel.sum(axis=-1, keepdims=True).clamp_min(CE_LOG_EPS)
+            ce = -(Tensor(teacher) * (p + CE_LOG_EPS).log()).sum(axis=-1)
+            return ce.mean()
+        if objective is not TransferObjective.OUTPUTS_MSE:  # pragma: no cover
+            raise ValueError(objective)
+        student = linear_attention(phi_q, phi_k, vt)
+    diff = student - Tensor(_teacher_weights(q, k) @ v)
     return (diff * diff).mean()
 
 
@@ -339,10 +332,3 @@ def run_hedgecats(model: Model, cfg: TrainConfig, stage2_epochs, transfer_data,
                           checkpoint_fn=checkpoint_fn, epochs=stage2_epochs,
                           eval_gap_fn=eval_gap_fn)
     return stage1, stage2
-
-
-def inference_time_hybrid(hy: HybridSpec, win=None) -> AttnSettings:
-    """Evaluator settings that add SWA at inference time only; no weights
-    change. Overlap lets LA see tokens inside the window too."""
-    mode = AblationMode.HYBRID_OVERLAP if hy.overlap else AblationMode.FULL_HYBRID
-    return AttnSettings(kind="hybrid", mode=mode, win=win or WindowSpec(), hy=hy)

@@ -8,7 +8,6 @@ from functools import partial
 import numpy as np
 
 from .attention import (
-    BACKEND,
     AblationMode,
     HybridSpec,
     WindowSpec,
@@ -16,7 +15,6 @@ from .attention import (
     softmax_attention_full_np,
     streaming_state_bytes,
 )
-from .attention.backend import _stream_la_py
 from .errors import ContractError
 from .model import AttnSettings, lm_loss
 from .rng import SeededRng
@@ -126,7 +124,7 @@ def evaluate_ablations(model, tasks, modes=ALL_MODES, hy=None, win=None,
 def _time_rounds(fns, reps, min_time=5e-2):
     """Per-call wall times of each fn over `reps` interleaved rounds.
 
-    Each fn gets one warm-up call (JIT compile, caches), then one timed call
+    Each fn gets one warm-up call (caches), then one timed call
     fixes how many calls make up its sample, so that every sample lasts at
     least `min_time` seconds (the per-sample floor). A round takes one
     sample of every fn, with the calls of all fns spread evenly over the
@@ -182,9 +180,8 @@ class BenchReport:
         return self.rows
 
 
-def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0,
-                      include_numpy_fallback=True):
-    """Wall times for the streaming-LA and quadratic-softmax paths.
+def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
+    """Wall times for the chunked-LA and quadratic-softmax paths.
 
     Every (path, T) case is timed once per round in `reps` interleaved
     rounds (`_time_rounds`, 50 ms floor per sample). `BenchReport.ratios`
@@ -192,8 +189,9 @@ def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0,
     one round to the next cancels out of the scaling ratios; the rows report
     each case's median over rounds.
 
-    Streaming auxiliary state is the fixed accumulator pair; the quadratic
-    path materialises the T x T score matrix.
+    The chunked path's auxiliary state is the fixed (S, z) accumulator pair
+    it carries across chunks; the quadratic path materialises the T x T
+    score matrix.
     """
     if reps < 3:
         raise ContractError("benchmark requires >= 3 repetitions")
@@ -209,11 +207,8 @@ def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0,
         phi_q = np.abs(r.normal((T, F))) + 0.01
         phi_k = np.abs(r.normal((T, F))) + 0.01
 
-        cases[f"streaming-{BACKEND}", T] = (
+        cases["streaming-chunked", T] = (
             partial(linear_attention_streaming, phi_q, phi_k, v), stream_aux)
-        if include_numpy_fallback and BACKEND != "numpy":
-            cases["streaming-numpy", T] = (
-                partial(_stream_la_py, phi_q, phi_k, v, 1e-6), stream_aux)
         cases["quadratic-softmax", T] = (
             partial(softmax_attention_full_np, q, k, v), T * T * 8)
     times = _time_rounds([fn for fn, _aux in cases.values()], reps)

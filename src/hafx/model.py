@@ -118,10 +118,6 @@ class Model:
     def trainable_parameters(self):
         return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
 
-    def zero_grads(self):
-        for p in self.named_parameters().values():
-            p.grad = None
-
     # -- forward ---------------------------------------------------------------
 
     def _proj(self, layer, target):

@@ -5,7 +5,7 @@ import json
 import os
 
 from .attention import Activation, WindowSpec
-from .checkpoint import load_model, save_model
+from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
 from .convert import (
     TransferObjective,
@@ -22,8 +22,9 @@ CSV_FLOAT_FMT = "{:.6f}"
 
 
 def write_csv(path, header, rows):
-    """Schema-stable CSV with fixed float formatting (byte-reproducible)."""
-    with open(path, "w", newline="") as f:
+    """Schema-stable CSV with fixed float formatting (byte-reproducible),
+    written atomically."""
+    with atomic_open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             cells = [
@@ -34,9 +35,20 @@ def write_csv(path, header, rows):
     return path
 
 
-def append_jsonl(path, record):
-    with open(path, "a") as f:
-        f.write(json.dumps(record, sort_keys=True) + "\n")
+def record_stage(path, record):
+    """Store a stage's record in the JSON-lines file at `path`, which holds
+    one record per stage: a rerun replaces that stage's earlier record."""
+    records = []
+    if os.path.exists(path):
+        with open(path) as f:
+            records = [json.loads(line) for line in f]
+    stages = [r["stage"] for r in records]
+    if record["stage"] in stages:
+        records[stages.index(record["stage"])] = record
+    else:
+        records.append(record)
+    with atomic_open(path, "w") as f:
+        f.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def _merged_split(cfg: RunConfig, specs, split):
@@ -93,7 +105,7 @@ def _get_base_model(cfg: RunConfig, base_ckpt, out, stages_path):
         model, cfg.train_config(), merged_train, merged_eval, cfg["train.base_epochs"]
     )
     save_model(os.path.join(out, "base.ckpt"), model, "base")
-    append_jsonl(stages_path, report.to_dict())
+    record_stage(stages_path, report.to_dict())
     return model
 
 
@@ -118,7 +130,7 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     path = os.path.join(out, "post-transfer.ckpt")
     save_model(path, model, "post-transfer")
     report.checkpoints.append(path)
-    append_jsonl(stages, report.to_dict())
+    record_stage(stages, report.to_dict())
     return model, report
 
 
@@ -152,7 +164,7 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False):
     path = os.path.join(out, "post-finetune.ckpt")
     save_model(path, model, "post-finetune")
     report.checkpoints.append(path)
-    append_jsonl(os.path.join(out, "stages.jsonl"), report.to_dict())
+    record_stage(os.path.join(out, "stages.jsonl"), report.to_dict())
     return model, report
 
 
@@ -203,8 +215,8 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
     )
     path = os.path.join(out, "post-finetune.ckpt")
     save_model(path, model, "post-finetune")
-    append_jsonl(stages, stage1.to_dict())
-    append_jsonl(stages, stage2.to_dict())
+    record_stage(stages, stage1.to_dict())
+    record_stage(stages, stage2.to_dict())
     return model, (stage1, stage2)
 
 

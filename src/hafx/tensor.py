@@ -33,7 +33,7 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """Row-major float64 array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -41,7 +41,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward_fn = None
-        self.name = None
 
     @property
     def shape(self):
@@ -53,9 +52,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- graph construction -------------------------------------------------
 

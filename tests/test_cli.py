@@ -159,6 +159,19 @@ def test_write_csv_fixed_float_format(tmp_path):
     assert path.read_text() == "x\n0.300000\n3\ns\n"
 
 
+def test_failed_csv_write_keeps_the_earlier_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "v.csv"
+    write_csv(path, ("x",), [(1.0,)])
+    with pytest.raises(RuntimeError):
+        write_csv(path, ("x",), [(2.0,), (Unprintable(),)])
+    assert path.read_text() == "x\n1.000000\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
+
 # -- pipelines ------------------------------------------------------------------
 
 
@@ -183,3 +196,30 @@ def test_ssd_run_resumes_from_the_saved_transfer_checkpoint(tmp_path, monkeypatc
     cmd_finetune(cfg, str(apart / "post-transfer.ckpt"), use_ssd=True)
     for name in ("post-transfer.ckpt", "post-finetune.ckpt"):
         assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+
+def test_ssd_run_rerun_keeps_one_record_per_stage(tmp_path, monkeypatch):
+    import json
+
+    from hafx.pipelines import cmd_ssd_run
+
+    cfg = parse_config(
+        "seed = 3\nmodel.vocab_size = 32\nmodel.d_model = 16\nmodel.n_layers = 1\n"
+        "model.n_heads = 2\nmodel.mlp_width = 32\nmodel.max_T = 32\nattn.window = 8\n"
+        "task.T = 16\ntask.n_examples = 64\ntask.n_pairs = 4\ntask.n_keys = 4\n"
+        "task.n_values = 4\ntrain.base_epochs = 1\ntrain.finetune_epochs = 1\n"
+        "train.batch_size = 8\ntrain.accumulation = 1\n"
+    )
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    cmd_ssd_run(cfg)
+    first = (tmp_path / "stages.jsonl").read_text()
+    cmd_ssd_run(cfg)
+    lines = (tmp_path / "stages.jsonl").read_text().splitlines()
+    stages = [json.loads(line)["stage"] for line in lines]
+    assert stages == ["base", "post-transfer", "post-finetune"]
+
+    def timeless(text):
+        return [dict(json.loads(line), wall_time_s=0) for line in text.splitlines()]
+
+    assert timeless("\n".join(lines)) == timeless(first)
+    assert not list(tmp_path.glob("*.tmp"))

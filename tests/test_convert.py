@@ -15,7 +15,6 @@ from hafx.convert import (
     SSDSchedule,
     TrainConfig,
     TransferObjective,
-    inference_time_hybrid,
     run_attention_transfer,
     run_base_training,
     run_finetune,
@@ -336,13 +335,6 @@ def test_hedgecats_early_stop_on_closed_gap():
     _, s2 = run_hedgecats(model, cfg, 5, data["tokens"], data, data,
                           eval_gap_fn=gap, win=WindowSpec(4), hy=HybridSpec(0.5))
     assert len(s2.epoch_losses) == 1 and len(calls) == 1
-
-
-def test_inference_time_hybrid_settings():
-    attn = inference_time_hybrid(HybridSpec(0.5), WindowSpec(16))
-    assert attn.kind == "hybrid" and attn.mode is AblationMode.FULL_HYBRID
-    attn = inference_time_hybrid(HybridSpec(0.5, overlap=True))
-    assert attn.mode is AblationMode.HYBRID_OVERLAP
 
 
 def test_full_dropout_epoch_never_uses_swa(monkeypatch):

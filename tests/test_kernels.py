@@ -12,8 +12,10 @@ from hafx.attention import (
     WindowSpec,
     apply_rope,
     feature_map_apply,
+    guard_count,
     hybrid_attention,
-    linear_attention_causal,
+    linear_attention,
+    linear_attention_masked,
     linear_attention_quadratic_oracle,
     linear_attention_streaming,
     sinks_attention,
@@ -21,7 +23,7 @@ from hafx.attention import (
     softmax_attention_causal,
     softmax_attention_full_np,
 )
-from hafx.attention.backend import _stream_la_py
+from hafx.attention.ops import lagged_mult_mask
 from hafx.errors import ShapeError
 from hafx.rng import SeededRng
 from hafx.tensor import Tensor, finite_diff_check
@@ -232,38 +234,116 @@ def test_streaming_matches_quadratic_oracle_100_cases(d_prime):
     assert worst < 1e-10
 
 
-def test_streaming_numpy_fallback_matches_numba_path():
-    rng = SeededRng(9, "fallback")
-    phi_q = np.abs(rng.normal((32, 8))) + 1e-3
-    phi_k = np.abs(rng.normal((32, 8))) + 1e-3
-    v = rng.normal((32, 4))
-    jit_out, jg = linear_attention_streaming(phi_q, phi_k, v)
-    py_out, pg = _stream_la_py(phi_q, phi_k, v, 1e-6)
-    assert jg == pg
-    assert np.abs(jit_out - py_out).max() < 1e-12
+def recurrent_la(phi_q, phi_k, v, eps=1e-6):
+    """The per-token streaming recurrence, one token at a time:
+    S += phi_k[t] v[t]^T, z += phi_k[t], out[t] = phi_q[t] S / max(phi_q[t] z, eps)."""
+    S, z = np.zeros((phi_k.shape[1], v.shape[1])), np.zeros(phi_k.shape[1])
+    out = np.empty((len(v), v.shape[1]))
+    for t in range(len(v)):
+        S += np.outer(phi_k[t], v[t])
+        z += phi_k[t]
+        out[t] = phi_q[t] @ S / max(phi_q[t] @ z, eps)
+    return out
 
 
 def test_differentiable_path_matches_streaming():
-    rng = SeededRng(42, "la-diff")
-    phi_q = np.abs(rng.normal((16, 8))) + 1e-3
-    phi_k = np.abs(rng.normal((16, 8))) + 1e-3
-    v = rng.normal((16, 4))
-    diff = linear_attention_causal(Tensor(phi_q), Tensor(phi_k), Tensor(v))
-    stream, _ = linear_attention_streaming(phi_q, phi_k, v)
-    assert np.abs(diff.data - stream).max() < 1e-10
+    for T in (16, 150):
+        rng = SeededRng(42, "la-diff")
+        phi_q = np.abs(rng.normal((T, 8))) + 1e-3
+        phi_k = np.abs(rng.normal((T, 8))) + 1e-3
+        v = rng.normal((T, 4))
+        diff = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v))
+        assert np.abs(diff.data - recurrent_la(phi_q, phi_k, v)).max() < 1e-10
 
 
 def test_denominator_guard_counts():
-    from hafx.attention import guard_count, reset_guard_count
+    from hafx.attention import reset_guard_count
 
     reset_guard_count()
     zeros = np.zeros((3, 4))
     v = np.ones((3, 2))
-    out = linear_attention_causal(Tensor(zeros), Tensor(zeros), Tensor(v))
+    out = linear_attention(Tensor(zeros), Tensor(zeros), Tensor(v))
     assert guard_count() == 3
     np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
     stream, guards = linear_attention_streaming(zeros, zeros, v)
     assert guards == 3
+
+
+def la_inputs(seed, T, lead=(2,), F=6, d_v=3):
+    rng = SeededRng(seed, "la-chunked")
+    return (np.abs(rng.normal(lead + (T, F))) + 1e-3,
+            np.abs(rng.normal(lead + (T, F))) + 1e-3,
+            rng.normal(lead + (T, d_v)))
+
+
+def outputs_and_grads(fn, phi_q, phi_k, v):
+    """fn's output and the q/k/v gradients of a weighted sum of it."""
+    ts = [Tensor(x, requires_grad=True) for x in (phi_q, phi_k, v)]
+    out = fn(*ts)
+    w = SeededRng(1, "la-weights").normal(out.shape)
+    (out * Tensor(w)).sum().backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 130, 200])
+@pytest.mark.parametrize("lag", [0, 1, 63, 64, 65, "T", "T+5"])
+def test_linear_attention_matches_masked_reference(T, lag):
+    """One chunk is the masked form op for op, so T <= LA_CHUNK is
+    bit-identical; across chunks only the summation order differs. Errors
+    are relative to the reference's largest magnitude, floored at 1, since
+    a query whose one visible key is its whole context has an analytic
+    feature-map gradient of exactly 0 and a computed one of rounding noise."""
+    lag = {"T": T, "T+5": T + 5}.get(lag, lag)
+    args = la_inputs(T * 1000 + lag, T)
+    ours = outputs_and_grads(lambda q, k, v: linear_attention(q, k, v, lag=lag), *args)
+    ref = outputs_and_grads(
+        lambda q, k, v: linear_attention_masked(q, k, v, lagged_mult_mask(T, lag)), *args)
+    for a, b in zip(ours, ref):
+        if T <= 64:
+            assert (a == b).all()
+        else:
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+def test_linear_attention_matches_quadratic_oracle_across_chunks():
+    worst = 0.0
+    for case in range(20):
+        rng = SeededRng(case, "la-long")
+        T = int(rng.integers(65, 301))
+        phi_q = np.abs(rng.normal((T, 8))) + 1e-3
+        phi_k = np.abs(rng.normal((T, 8))) + 1e-3
+        v = rng.normal((T, int(rng.integers(1, 9))))
+        stream, _ = linear_attention_streaming(phi_q, phi_k, v)
+        quad = linear_attention_quadratic_oracle(phi_q, phi_k, v)
+        worst = max(worst, float(np.abs(stream - quad).max()))
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_linear_attention_gradient_vs_finite_diff_across_chunks(which):
+    args = list(la_inputs(12, 70, lead=(), F=4))
+    w = Tensor(SeededRng(13, "la-fd").normal((70, 3)))
+
+    def f(t):
+        xs = [Tensor(a) for a in args]
+        xs[which] = t
+        return (linear_attention(*xs, lag=3) * w).sum()
+
+    assert finite_diff_check(f, Tensor(args[which]), step=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("T,lag", [(16, 4), (130, 0), (130, 70), (200, 64)])
+def test_linear_attention_clamp_counts_match_reference(T, lag):
+    phi_q, phi_k, v = la_inputs(T + lag, T)
+    phi_q[:, ::7] = 0.0  # these queries' denominators are 0 whatever they see
+    counts = []
+    for fn in (lambda: linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), lag=lag),
+               lambda: linear_attention_masked(Tensor(phi_q), Tensor(phi_k), Tensor(v),
+                                               lagged_mult_mask(T, lag))):
+        before = guard_count()
+        fn()
+        counts.append(guard_count() - before)
+    assert counts[0] == counts[1] > 0
 
 
 # -- sliding window / sinks ---------------------------------------------------
@@ -368,6 +448,21 @@ def test_hybrid_matches_composed_oracles(overlap):
     mask = causal_mult_mask(32) if overlap else lagged_mult_mask(32, 8)
     la = linear_attention_masked(fma(phi, q), fma(phi, k), v, mask)
     np.testing.assert_allclose(out.data, 0.5 * swa.data + 0.5 * la.data, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", [AblationMode.FULL_HYBRID, AblationMode.LA_ONLY,
+                                  AblationMode.HYBRID_OVERLAP])
+def test_hybrid_la_branch_across_chunks_matches_masked_form(mode):
+    """At T > LA_CHUNK the LA branch sees keys i <= t - window, or every
+    causal key with overlap, as the masked reference does."""
+    (q, k, v), phi = hybrid_args(T=150, d=8)
+    win, hy = WindowSpec(70), HybridSpec(0.5)
+    _out, _swa, la = hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=True)
+    mask = np.tril(np.ones((150, 150)))
+    if mode is not AblationMode.HYBRID_OVERLAP:
+        mask = lagged_mult_mask(150, 70)
+    ref = linear_attention_masked(feature_map_apply(phi, q), feature_map_apply(phi, k), v, mask)
+    assert np.abs(la.data - ref.data).max() < 1e-12
 
 
 def test_hybrid_sinks_only_routes_to_sinks():

@@ -11,6 +11,7 @@ from hafx.checkpoint import (
 )
 from hafx.errors import (
     BadMagicError,
+    CheckpointError,
     ContractError,
     InputError,
     ShapeError,
@@ -179,15 +180,6 @@ def test_set_trainable_phi_only(model):
     assert names and all(".phi." in n for n in names)
 
 
-def test_zero_grads(model):
-    t = tokens()
-    loss = lm_loss(model.forward_logits(t[:-1], AttnSettings()), t[1:])
-    loss.backward()
-    assert model.params["emb"].grad is not None
-    model.zero_grads()
-    assert model.params["emb"].grad is None
-
-
 # -- lm_loss ----------------------------------------------------------------
 
 
@@ -283,3 +275,46 @@ def test_checkpoint_truncated(tmp_path, model):
 def test_checkpoint_rejects_unknown_stage(tmp_path):
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "s.ckpt", {}, {}, "released")
+
+
+def resave(path, edit):
+    """Rewrite a checkpoint with `edit(tensors)` applied to its tensors."""
+    tensors, meta = load_checkpoint(path)
+    edit(tensors)
+    save_checkpoint(path, tensors, {k: v for k, v in meta.items() if k != "stage"},
+                    meta["stage"])
+
+
+def test_load_model_rejects_a_wrong_shape(tmp_path, model):
+    path = tmp_path / "shape.ckpt"
+    save_model(path, model, "base")
+    resave(path, lambda t: t.update(head=np.zeros((3, 3), dtype=np.float32)))
+    with pytest.raises(CheckpointError, match=r"shape\.ckpt: tensor 'head' has shape \(3, 3\)"):
+        load_model(path)
+
+
+def test_load_model_rejects_an_unknown_tensor(tmp_path, model):
+    path = tmp_path / "junk.ckpt"
+    save_model(path, model, "base")
+    resave(path, lambda t: t.update(junk=np.zeros(2, dtype=np.float32)))
+    with pytest.raises(CheckpointError, match=r"junk\.ckpt: tensor 'junk'"):
+        load_model(path)
+
+
+def test_load_model_rejects_non_finite_values(tmp_path, model):
+    path = tmp_path / "nan.ckpt"
+    save_model(path, model, "base")
+    resave(path, lambda t: t["emb"].__setitem__((0, 0), np.nan))
+    with pytest.raises(CheckpointError, match=r"nan\.ckpt: tensor 'emb' holds non-finite"):
+        load_model(path)
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, model):
+    path = tmp_path / "m.ckpt"
+    save_model(path, model, "base")
+    before = path.read_bytes()
+    # "b" is written after "a", so the save fails partway through the file
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"a": np.ones(4), "b": np.array(["x"])}, {}, "base")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
