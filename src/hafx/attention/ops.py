@@ -3,9 +3,11 @@ attention sinks, feature-mapped linear attention, RoPE, and the hybrid
 combiner with its ablation modes.
 
 All kernels take tensors shaped (..., T, d) and are pure functions, so
-batched/multi-head evaluation is just broadcasting. Linear attention has one
-kernel, the chunkwise O(T) `linear_attention`; the masked kernel-matrix form
-and the numpy oracles below are references it is held to.
+batched/multi-head evaluation is just broadcasting. The model's kernels run
+the same query chunks (`_chunks`), each over its own key block, so none
+builds a T x T array. Linear attention has one kernel, the chunkwise O(T)
+`linear_attention`; the masked kernel-matrix form and the numpy oracles
+below are references it is held to.
 """
 
 import enum
@@ -19,7 +21,7 @@ from ..tensor import Tensor, concat, row_softmax
 
 MASK_NEG = -1e30  # additive mask; underflows to exact 0 after softmax shift
 LA_EPS = 1e-6  # denominator guard for linear-attention normalisation
-LA_CHUNK = 64  # queries per chunk of `linear_attention`
+LA_CHUNK = 64  # queries per chunk of every attention kernel
 
 # Count of positions whose LA denominator was clamped, keyed for diagnostics.
 _GUARD_COUNT = 0
@@ -107,24 +109,6 @@ class RoPEParams:
 # -- masks -------------------------------------------------------------------
 
 
-def causal_additive_mask(T):
-    m = np.zeros((T, T))
-    m[np.triu_indices(T, k=1)] = MASK_NEG
-    return m
-
-
-def band_additive_mask(T, window):
-    t = np.arange(T)
-    allowed = (t[None, :] <= t[:, None]) & (t[None, :] >= t[:, None] - window + 1)
-    return np.where(allowed, 0.0, MASK_NEG)
-
-
-def sinks_additive_mask(T, sink_count):
-    t = np.arange(T)
-    allowed = (t[None, :] <= t[:, None]) & (t[None, :] < sink_count)
-    return np.where(allowed, 0.0, MASK_NEG)
-
-
 def causal_mult_mask(T):
     return np.tril(np.ones((T, T)))
 
@@ -154,26 +138,52 @@ def apply_rope(x, params, pos_offset=0):
     return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def softmax_attention_causal(q, k, v, additive_mask=None):
+def _rows(x, start, stop):
+    """x[..., start:stop, :], or x itself when that is every row."""
+    return x if (start, stop) == (0, x.shape[-2]) else x[..., start:stop, :]
+
+
+def _chunks(T, reach):
+    """(s, e, lo, t, j) per chunk [s, e) of LA_CHUNK queries: its key block
+    [lo, e) starts `reach` keys before s, and t and j are the query and key
+    positions, shaped for the chunk's mask. No queries make one empty chunk."""
+    pos = np.arange(T)
+    for s in range(0, T or 1, LA_CHUNK):
+        e, lo = min(s + LA_CHUNK, T), max(s - reach, 0)
+        yield s, e, lo, pos[s:e, None], pos[None, lo:e]
+
+
+def softmax_attention_causal(q, k, v, window=None, sink_count=None):
+    """Causal softmax attention where query t sees the keys j <= t, and
+    only j > t - window with a window or j < sink_count with sinks.
+
+    Queries run in `linear_attention`'s chunks: chunk [s, e) scores the key
+    block [max(s - window + 1, 0), e) under an additive mask. Up to LA_CHUNK
+    tokens are one chunk. Every query must see a key.
+    """
     T, d = q.shape[-2], q.shape[-1]
     if T == 0:
         raise ShapeError("attention over an empty sequence")
-    if additive_mask is None:
-        additive_mask = causal_additive_mask(T)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + Tensor(additive_mask)
-    return row_softmax(scores) @ v
+    w = T if window is None else window  # a window of T keys is plain causal
+    outs = []
+    for s, e, lo, t, j in _chunks(T, w - 1):
+        allowed = (j <= t) & (j > t - w)
+        if sink_count is not None:
+            allowed &= j < sink_count
+        mask = Tensor(np.where(allowed, 0.0, MASK_NEG))
+        scores = (_rows(q, s, e) @ _rows(k, lo, e).swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + mask
+        outs.append(row_softmax(scores) @ _rows(v, lo, e))
+    return outs[0] if len(outs) == 1 else concat(outs, axis=-2)
 
 
 def sliding_window_attention(q, k, v, window):
-    T = q.shape[-2]
-    return softmax_attention_causal(q, k, v, band_additive_mask(T, window))
+    return softmax_attention_causal(q, k, v, window=window)
 
 
 def sinks_attention(q, k, v, sink_count):
     if sink_count < 1:
         raise ShapeError("sinks_attention requires sink_count >= 1")
-    T = q.shape[-2]
-    return softmax_attention_causal(q, k, v, sinks_additive_mask(T, sink_count))
+    return softmax_attention_causal(q, k, v, sink_count=sink_count)
 
 
 def feature_map_apply(params, x):
@@ -214,11 +224,6 @@ def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS):
     return num / den.clamp_min(eps)
 
 
-def _rows(x, start, stop):
-    """x[..., start:stop, :], or x itself when that is every row."""
-    return x if (start, stop) == (0, x.shape[-2]) else x[..., start:stop, :]
-
-
 def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS):
     """Normalised linear attention where query t sees the keys i <= t - lag.
 
@@ -233,13 +238,10 @@ def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS):
     gets an exact 0.
     """
     T = phi_q.shape[-2]
-    pos = np.arange(T)
     outs, S, z = [], None, None
-    for s in range(0, T or 1, LA_CHUNK):  # an empty sequence is one empty chunk
-        e = min(s + LA_CHUNK, T)
-        lo = max(s - lag, 0)
+    for s, e, lo, t, j in _chunks(T, lag):
         q = _rows(phi_q, s, e)
-        mask = (pos[None, lo:e] <= pos[s:e, None] - lag).astype(np.float64)
+        mask = (j <= t - lag).astype(np.float64)
         kernel = (q @ _rows(phi_k, lo, e).swapaxes(-1, -2)) * Tensor(mask)
         num = kernel @ _rows(v, lo, e)
         den = kernel.sum(axis=-1, keepdims=True)
@@ -319,8 +321,8 @@ def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False):
     if mode is AblationMode.NO_ATTENTION:
         out = zeros
         return (out, zeros, zeros) if return_branches else out
-    if mode is AblationMode.SINKS_ONLY:
-        out = sinks_attention(q, k, v, win.sink_count)
+    if mode is AblationMode.SINKS_ONLY:  # no sinks: no keys, so 0 as in LA
+        out = sinks_attention(q, k, v, win.sink_count) if win.sink_count else zeros
         return (out, zeros, zeros) if return_branches else out
 
     g = hy.g

@@ -137,8 +137,8 @@ class RunConfig:
     def activation(self):
         return Activation(self.values["attn.activation"])
 
-    def window(self, width=None):
-        return WindowSpec(width or self.values["attn.window"], self.values["attn.sinks"])
+    def window(self):
+        return WindowSpec(self.values["attn.window"], self.values["attn.sinks"])
 
     def hybrid(self):
         return HybridSpec(self.values["attn.g"], self.values["attn.overlap"])

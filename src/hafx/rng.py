@@ -40,6 +40,3 @@ class SeededRng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
-
-    def choice(self, a, size=None, replace=True):
-        return self._gen.choice(a, size=size, replace=replace)

@@ -223,3 +223,25 @@ def test_ssd_run_rerun_keeps_one_record_per_stage(tmp_path, monkeypatch):
 
     assert timeless("\n".join(lines)) == timeless(first)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_ablate_without_sinks_writes_every_mode(tmp_path, monkeypatch, capsys):
+    """`attn.sinks = 0` is a valid config; its sinks_only row scores a zero
+    attention output instead of aborting the ablation."""
+    from hafx.attention import AblationMode
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "seed = 3\nmodel.vocab_size = 32\nmodel.d_model = 16\nmodel.n_layers = 1\n"
+        "model.n_heads = 2\nmodel.mlp_width = 32\nmodel.max_T = 32\nattn.window = 8\n"
+        "attn.sinks = 0\ntask.kinds = assoc_recall\ntask.T = 16\ntask.n_examples = 64\n"
+        "task.n_pairs = 4\ntask.n_keys = 4\ntask.n_values = 4\ntrain.base_epochs = 1\n"
+        "train.batch_size = 8\ntrain.accumulation = 1\n"
+    )
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    assert main(["transfer", "--config", str(cfg)]) == 0
+    ckpt = str(tmp_path / "post-transfer.ckpt")
+    assert main(["ablate", "--config", str(cfg), "--ckpt", ckpt]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "ablation.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} >= {m.value for m in AblationMode}

@@ -26,7 +26,7 @@ from hafx.attention import (
 from hafx.attention.ops import lagged_mult_mask
 from hafx.errors import ShapeError
 from hafx.rng import SeededRng
-from hafx.tensor import Tensor, finite_diff_check
+from hafx.tensor import Tensor, finite_diff_check, row_softmax
 
 
 def brute_force_masked_softmax(q, k, v, allowed):
@@ -396,6 +396,64 @@ def test_sinks_vs_brute_force():
     assert np.abs(out.data - oracle).max() < 1e-12
 
 
+# -- chunked softmax kernels --------------------------------------------------
+
+
+def masked_softmax_reference(q, k, v, allowed):
+    """Taped T x T form: every score, with the keys a boolean `allowed` rules
+    out pushed to -1e30 before the row softmax."""
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    return row_softmax(scores + Tensor(np.where(allowed, 0.0, -1e30))) @ v
+
+
+def softmax_case(kind, n, T):
+    """(kernel, allowed) for causal softmax, a window of n, or n sinks."""
+    t, j = np.arange(T)[:, None], np.arange(T)[None, :]
+    if kind == "swa":
+        return (lambda q, k, v: sliding_window_attention(q, k, v, n)), (j <= t) & (j > t - n)
+    if kind == "sinks":
+        return (lambda q, k, v: sinks_attention(q, k, v, n)), (j <= t) & (j < n)
+    return softmax_attention_causal, j <= t
+
+
+SOFTMAX_CASES = ([("causal", None)] + [("swa", w) for w in (1, 8, 63, 64, 65)]
+                 + [("sinks", n) for n in (1, 2, 64, 65)])
+
+
+@pytest.mark.parametrize("T", [1, 40, 64, 65, 130, 512])
+@pytest.mark.parametrize("kind,n", SOFTMAX_CASES)
+def test_softmax_kernels_match_masked_reference(T, kind, n):
+    """Up to LA_CHUNK tokens are one chunk, which is the reference op for op;
+    across chunks only the key blocks differ. Errors are relative to the
+    reference's largest magnitude, floored at 1."""
+    kernel, allowed = softmax_case(kind, n, T)
+    rng = SeededRng(T * 100 + (n or 0), "softmax-chunked")
+    args = [rng.normal((2, T, 8)) for _ in range(3)]
+    ours = outputs_and_grads(kernel, *args)
+    ref = outputs_and_grads(lambda q, k, v: masked_softmax_reference(q, k, v, allowed), *args)
+    for a, b in zip(ours, ref):
+        if T <= 64:
+            assert (a == b).all()
+        else:
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+@pytest.mark.parametrize("kind,n", [("causal", None), ("swa", 8), ("sinks", 2)])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_softmax_kernel_gradients_vs_finite_diff_across_chunks(kind, n, which):
+    kernel, _ = softmax_case(kind, n, 70)
+    rng = SeededRng(15, "softmax-fd")
+    args = [rng.normal((70, 4)) for _ in range(3)]
+    w = Tensor(rng.normal((70, 4)))
+
+    def f(t):
+        xs = [Tensor(a) for a in args]
+        xs[which] = t
+        return (kernel(*xs) * w).sum()
+
+    assert finite_diff_check(f, Tensor(args[which]), step=1e-5) < 1e-4
+
+
 # -- hybrid combiner -------------------------------------------------------------
 
 
@@ -463,6 +521,28 @@ def test_hybrid_la_branch_across_chunks_matches_masked_form(mode):
         mask = lagged_mult_mask(150, 70)
     ref = linear_attention_masked(feature_map_apply(phi, q), feature_map_apply(phi, k), v, mask)
     assert np.abs(la.data - ref.data).max() < 1e-12
+
+
+def test_hybrid_full_across_chunks_matches_composed_masked_forms():
+    (q, k, v), phi = hybrid_args(T=150, d=8)
+    win, hy = WindowSpec(8), HybridSpec(0.5)
+    out = hybrid_attention(q, k, v, phi, win, hy, AblationMode.FULL_HYBRID)
+    _, allowed = softmax_case("swa", 8, 150)
+    swa = masked_softmax_reference(q, k, v, allowed)
+    la = linear_attention_masked(feature_map_apply(phi, q), feature_map_apply(phi, k), v,
+                                 lagged_mult_mask(150, 8))
+    ref = 0.5 * swa.data + 0.5 * la.data
+    assert np.abs(out.data - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+
+def test_hybrid_sinks_only_without_sinks_is_zero():
+    """No sinks leave a query no keys, which gives 0 as in linear attention."""
+    (q, k, v), phi = hybrid_args(T=16)
+    out = hybrid_attention(q, k, v, phi, WindowSpec(4, sink_count=0), HybridSpec(),
+                           AblationMode.SINKS_ONLY)
+    assert (out.data == 0).all() and out.shape == v.shape
+    with pytest.raises(ShapeError):
+        sinks_attention(q, k, v, 0)
 
 
 def test_hybrid_sinks_only_routes_to_sinks():
