@@ -23,23 +23,6 @@ MASK_NEG = -1e30  # additive mask; underflows to exact 0 after softmax shift
 LA_EPS = 1e-6  # denominator guard for linear-attention normalisation
 LA_CHUNK = 64  # queries per chunk of every attention kernel
 
-# Count of positions whose LA denominator was clamped, keyed for diagnostics.
-_GUARD_COUNT = 0
-
-
-def reset_guard_count():
-    global _GUARD_COUNT
-    _GUARD_COUNT = 0
-
-
-def guard_count():
-    return _GUARD_COUNT
-
-
-def _note_guards(n):
-    global _GUARD_COUNT
-    _GUARD_COUNT += int(n)
-
 
 class Activation(enum.Enum):
     SOFTMAX = "softmax"
@@ -65,13 +48,6 @@ class FeatureMapParams:
     w: Tensor  # (h_d, d_prime)
     b: Tensor  # (d_prime,)
     activation: Activation = Activation.SOFTMAX
-
-    @property
-    def d_prime(self):
-        return self.w.shape[1]
-
-    def tensors(self):
-        return {"w": self.w, "b": self.b}
 
 
 @dataclass
@@ -158,8 +134,9 @@ def softmax_attention_causal(q, k, v, window=None, sink_count=None):
     only j > t - window with a window or j < sink_count with sinks.
 
     Queries run in `linear_attention`'s chunks: chunk [s, e) scores the key
-    block [max(s - window + 1, 0), e) under an additive mask. Up to LA_CHUNK
-    tokens are one chunk. Every query must see a key.
+    block [max(s - window + 1, 0), e) under an additive mask; with sinks,
+    every chunk after the first scores only the sinks [0, min(sink_count, e)).
+    Up to LA_CHUNK tokens are one chunk. Every query must see a key.
     """
     T, d = q.shape[-2], q.shape[-1]
     if T == 0:
@@ -167,12 +144,14 @@ def softmax_attention_causal(q, k, v, window=None, sink_count=None):
     w = T if window is None else window  # a window of T keys is plain causal
     outs = []
     for s, e, lo, t, j in _chunks(T, w - 1):
+        j = j[:, :sink_count] if sink_count is not None and s else j
+        hi = lo + j.shape[-1]  # the key block is [lo, hi)
         allowed = (j <= t) & (j > t - w)
         if sink_count is not None:
             allowed &= j < sink_count
         mask = Tensor(np.where(allowed, 0.0, MASK_NEG))
-        scores = (_rows(q, s, e) @ _rows(k, lo, e).swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + mask
-        outs.append(row_softmax(scores) @ _rows(v, lo, e))
+        scores = (_rows(q, s, e) @ _rows(k, lo, hi).swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + mask
+        outs.append(row_softmax(scores) @ _rows(v, lo, hi))
     return outs[0] if len(outs) == 1 else concat(outs, axis=-2)
 
 
@@ -210,21 +189,22 @@ def feature_map_apply(params, x):
     return concat([pos, neg], axis=-1)
 
 
-def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS):
+def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS, clamps=None):
     """Normalised linear attention via a masked (T, T) kernel matrix.
 
     The reference form of `linear_attention`: with `causal_mult_mask(T)` or
     `lagged_mult_mask(T, lag)` it is the same attention at O(T^2) cost.
-    Denominators below eps are clamped and counted.
+    Denominators below eps are clamped and counted, as in `linear_attention`.
     """
     kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(mult_mask)
     num = kernel @ v
     den = kernel.sum(axis=-1, keepdims=True)
-    _note_guards(np.count_nonzero(den.data < eps))
+    if clamps is not None:
+        clamps.append(int(np.count_nonzero(den.data < eps)))
     return num / den.clamp_min(eps)
 
 
-def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS):
+def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS, clamps=None):
     """Normalised linear attention where query t sees the keys i <= t - lag.
 
     Queries run in chunks of LA_CHUNK (the chunkwise form of GLA, Yang et
@@ -234,8 +214,9 @@ def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS):
     z = sum phi_k; after each chunk the keys that left the window join the
     state. The cost is O(T (LA_CHUNK + lag)). Up to LA_CHUNK tokens are one
     chunk, which is exactly the masked form `linear_attention_masked`.
-    Denominators below eps are clamped and counted, so a query with no keys
-    gets an exact 0.
+    Denominators below eps are clamped, so a query with no keys gets an
+    exact 0; when `clamps` is a list, each chunk appends how many it clamped.
+    The outputs do not depend on it.
     """
     T = phi_q.shape[-2]
     outs, S, z = [], None, None
@@ -248,7 +229,8 @@ def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS):
         if S is not None:
             num = num + q @ S
             den = den + q @ z
-        _note_guards(np.count_nonzero(den.data < eps))
+        if clamps is not None:
+            clamps.append(int(np.count_nonzero(den.data < eps)))
         outs.append(num / den.clamp_min(eps))
         hi = max(e - lag, 0)  # where the next chunk's key block starts
         if e < T and hi > lo:
@@ -268,9 +250,9 @@ def linear_attention_streaming(phi_q, phi_k, v, eps=LA_EPS):
 
     Returns (out: T x d_v, the number of denominators this call clamped).
     """
-    before = guard_count()
-    out = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), eps=eps)
-    return out.data, guard_count() - before
+    clamps = []
+    out = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), eps=eps, clamps=clamps)
+    return out.data, sum(clamps)
 
 
 def linear_attention_quadratic_oracle(phi_q, phi_k, v, eps=LA_EPS):
@@ -307,13 +289,14 @@ def softmax_attention_full_np(q, k, v):
     return np.einsum("ts,sd->td", scores, v)
 
 
-def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False):
+def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False, clamps=None):
     """a (.) SWA + b (.) LA with a = g*1, b = (1-g)*1, plus ablation modes.
 
     q and k are expected post-RoPE; the SWA branch consumes them raw while
     the LA branch consumes phi(q), phi(k). In non-overlap mode the LA branch
     only sees keys outside the sliding window, i <= t - window (empty
-    context -> exact zero); in overlap mode it sees every causal key.
+    context -> exact zero); in overlap mode it sees every causal key. The
+    LA branch appends its clamp counts to `clamps`, as `linear_attention`.
     """
     T, d_v = q.shape[-2], v.shape[-1]
     zeros = Tensor(np.zeros(v.shape[:-2] + (T, d_v)))
@@ -334,7 +317,8 @@ def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False):
         overlap = hy.overlap or mode is AblationMode.HYBRID_OVERLAP
         phi_q = feature_map_apply(phi, q)
         phi_k = feature_map_apply(phi, k)
-        la_branch = linear_attention(phi_q, phi_k, v, lag=0 if overlap else win.window)
+        la_branch = linear_attention(phi_q, phi_k, v, lag=0 if overlap else win.window,
+                                     clamps=clamps)
 
     out = g * swa_branch + (1.0 - g) * la_branch
     return (out, swa_branch, la_branch) if return_branches else out

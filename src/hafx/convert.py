@@ -4,7 +4,7 @@ fine-tune pipeline with early stopping."""
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -14,10 +14,8 @@ from .attention import (
     HybridSpec,
     WindowSpec,
     feature_map_apply,
-    guard_count,
     hybrid_attention,
     linear_attention,
-    reset_guard_count,
 )
 from .attention.ops import causal_mult_mask
 from .errors import ConfigError, ContractError
@@ -68,12 +66,8 @@ class TrainConfig:
     lr_transfer: float = 1e-2
     lr_finetune: float = 1e-4
     lr_base: float = 1e-3
-    betas: tuple = (0.9, 0.999)
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
-    plateau_factor: float = 0.5
-    plateau_patience: int = 2
-    plateau_min_delta: float = 1e-4
     transfer_epochs: int = 1
     finetune_epochs: int = 3
     batch_size: int = 16
@@ -114,11 +108,12 @@ def _teacher_weights(q, k):
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def transfer_loss(objective, q, k, v, phi, win, hy):
+def transfer_loss(objective, q, k, v, phi, win, hy, clamps=None):
     """Distillation loss for one (layer, head); only phi carries gradients.
 
     q, k, v are post-RoPE numpy constants from the frozen base projections;
-    the teacher is the full causal softmax computed from them.
+    the teacher is the full causal softmax computed from them. The
+    output-matching objectives append LA clamp counts to `clamps`.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -126,7 +121,8 @@ def transfer_loss(objective, q, k, v, phi, win, hy):
     qt, kt, vt = Tensor(q), Tensor(k), Tensor(v)
 
     if objective is TransferObjective.HYBRID_OUTPUTS_MSE:
-        student = hybrid_attention(qt, kt, vt, phi, win, hy, AblationMode.FULL_HYBRID)
+        student = hybrid_attention(qt, kt, vt, phi, win, hy, AblationMode.FULL_HYBRID,
+                                   clamps=clamps)
     else:
         phi_q = feature_map_apply(phi, qt)
         phi_k = feature_map_apply(phi, kt)
@@ -138,7 +134,7 @@ def transfer_loss(objective, q, k, v, phi, win, hy):
             return ce.mean()
         if objective is not TransferObjective.OUTPUTS_MSE:  # pragma: no cover
             raise ValueError(objective)
-        student = linear_attention(phi_q, phi_k, vt)
+        student = linear_attention(phi_q, phi_k, vt, clamps=clamps)
     diff = student - Tensor(_teacher_weights(q, k) @ v)
     return (diff * diff).mean()
 
@@ -158,17 +154,18 @@ def _lm_batch_loss(model, data, idx, attn):
 def _epoch(opt, batches, accumulation, step_attn, loss_fn):
     """One epoch of optimisation steps: (mean step loss, guard count).
 
+    The guard count is the number of LA denominators the epoch's steps
+    clamped: each step's `attn` carries the epoch's list of clamp counts.
     Each step's graph stays alive until the next step's first micro-batch
     loss replaces it, and the last one is released when this frame returns,
     before the held-out eval runs. Both matter: keeping the last graph
     through the eval raises peak memory, and freeing each graph before the
     next forward slows the steps.
     """
-    losses = []
-    reset_guard_count()
+    losses, clamps = [], []
     for s in range(0, len(batches), accumulation):
         group = batches[s:s + accumulation]
-        attn = step_attn(s)
+        attn = replace(step_attn(s), clamps=clamps)
         loss = None
         for idx in group:
             part = loss_fn(idx, attn)
@@ -178,7 +175,7 @@ def _epoch(opt, batches, accumulation, step_attn, loss_fn):
         loss.backward()
         opt.step()
         losses.append(float(loss.data))
-    return float(np.mean(losses)), guard_count()
+    return float(np.mean(losses)), sum(clamps)
 
 
 def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_fn,
@@ -195,9 +192,9 @@ def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_
     drives reduce-on-plateau if `plateau`; then `checkpoint_fn(model,
     epoch)`; then an early stop once `eval_gap_fn(model)` is non-positive.
     """
-    opt = AdamW(model.trainable_parameters(), lr, cfg.betas, cfg.adam_eps, cfg.weight_decay)
-    sched = ReduceOnPlateau(opt, cfg.plateau_factor, cfg.plateau_patience,
-                            cfg.plateau_min_delta) if plateau else None
+    opt = AdamW(model.trainable_parameters(), lr, eps=cfg.adam_eps,
+                weight_decay=cfg.weight_decay)
+    sched = ReduceOnPlateau(opt) if plateau else None
     report = StageReport(stage=stage)
     t0 = time.perf_counter()
     for epoch in range(1, epochs + 1):
@@ -259,7 +256,8 @@ def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,
         model.forward_logits(data[idx], attn, capture=capture)
         loss = None
         for (layer, head, q, k, v) in capture:
-            part = transfer_loss(objective, q, k, v, model.phi[layer][head], win, hy)
+            part = transfer_loss(objective, q, k, v, model.phi[layer][head], win, hy,
+                                 attn.clamps)
             loss = part if loss is None else loss + part
         return loss * (1.0 / model.cfg.n_heads)  # sum layers, mean heads
 

@@ -65,12 +65,14 @@ class ModelConfig:
 
 @dataclass
 class AttnSettings:
-    """Runtime attention selection for a forward pass."""
+    """Runtime attention selection for a forward pass. When `clamps` is a
+    list, the LA branch appends its clamped-denominator counts to it."""
 
     kind: str = "softmax"  # "softmax" | "hybrid"
     mode: AblationMode = AblationMode.FULL_HYBRID
     win: WindowSpec = field(default_factory=WindowSpec)
     hy: HybridSpec = field(default_factory=HybridSpec)
+    clamps: list | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -145,7 +147,8 @@ class Model:
             else:
                 fm = self.phi[layer][h]
                 head_outs.append(
-                    hybrid_attention(qh, kh, vh, fm, attn.win, attn.hy, attn.mode)
+                    hybrid_attention(qh, kh, vh, fm, attn.win, attn.hy, attn.mode,
+                                     clamps=attn.clamps)
                 )
         o = concat(head_outs, axis=-1)
         return o @ self._proj(layer, "wo")

@@ -91,9 +91,6 @@ class Tensor:
 
         return Tensor._op(self.data - other.data, (self, other), bw, "sub")
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other) - self
-
     def __neg__(self):
         return Tensor._op(-self.data, (self,), lambda g: (-g,), "neg")
 
@@ -122,9 +119,6 @@ class Tensor:
             )
 
         return Tensor._op(a.data / b.data, (a, b), bw, "div")
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
 
     def __matmul__(self, other):
         other = Tensor._coerce(other)

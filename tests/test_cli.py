@@ -245,3 +245,41 @@ def test_ablate_without_sinks_writes_every_mode(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     rows = (tmp_path / "ablation.csv").read_text().splitlines()[1:]
     assert {row.split(",")[1] for row in rows} >= {m.value for m in AblationMode}
+
+
+def test_eval_prints_evaluate_task_accuracy_per_task(tmp_path, monkeypatch, capsys):
+    """`hafx eval` scores each configured task once, in the requested mode
+    or under full softmax, with the same windows as the ablation."""
+    from hafx.attention import AblationMode, WindowSpec
+    from hafx.checkpoint import load_model
+    from hafx.evalbench import evaluate_task
+    from hafx.model import AttnSettings
+    from hafx.pipelines import eval_datasets
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "seed = 3\nmodel.vocab_size = 32\nmodel.d_model = 16\nmodel.n_layers = 1\n"
+        "model.n_heads = 2\nmodel.mlp_width = 32\nmodel.max_T = 32\nattn.window = 8\n"
+        "eval.window = 4\ntask.kinds = assoc_recall,copy\ntask.T = 16\n"
+        "task.n_examples = 64\ntask.n_pairs = 4\ntask.n_keys = 4\ntask.n_values = 4\n"
+        "train.base_epochs = 1\ntrain.batch_size = 8\ntrain.accumulation = 1\n"
+    )
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    assert main(["transfer", "--config", str(cfg_path)]) == 0
+    ckpt = str(tmp_path / "post-transfer.ckpt")
+    capsys.readouterr()
+    cfg = load_config(cfg_path)
+    model, stage = load_model(ckpt)
+    evals = eval_datasets(cfg)
+    windows = {"assoc_recall": WindowSpec(4, 8), "copy": WindowSpec(8, 8)}
+    for flags, attn_of in (
+        (["--mode", "la_only"],
+         lambda task: AttnSettings("hybrid", AblationMode.LA_ONLY, windows[task], cfg.hybrid())),
+        (["--softmax"], lambda task: AttnSettings("softmax")),
+    ):
+        assert main(["eval", "--config", str(cfg_path), "--ckpt", ckpt] + flags) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"{stage} {t}" for t in evals]
+        for line, (task, data) in zip(lines, evals.items()):
+            acc = evaluate_task(model, data, attn_of(task))[0]
+            assert f"acc={acc:.4f} " in line, (flags, line)

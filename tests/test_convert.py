@@ -400,3 +400,43 @@ def test_loop_rng_streams(monkeypatch):
         expected.append((AblationMode.FULL_HYBRID, 4))  # held-out eval
     assert [(attn.mode, attn.win.window) for _, attn in seen] == expected
     assert {mode for mode, _ in expected} == {AblationMode.LA_ONLY, AblationMode.FULL_HYBRID}
+
+
+# -- LA clamp counts ------------------------------------------------------------
+# With softmax feature maps every denominator over a non-empty context is
+# positive, so the clamps are exactly the queries t < w whose LA context
+# (keys i <= t - w) is empty: N rows * layers * heads * w per epoch.
+
+def test_finetune_guard_counts_are_the_empty_la_contexts():
+    model = init_model(TINY)
+    model.attach_feature_maps(4)
+    model.lora_attach(rank=2)
+    train, heldout = tiny_data(n=8), tiny_data(n=5, seed=1)
+    cfg = TrainConfig(batch_size=3, accumulation=2, finetune_epochs=2, seed=5)
+    report = run_finetune(model, cfg, None, train, heldout,
+                          win=WindowSpec(4), hy=HybridSpec(0.5))
+    assert report.guard_counts == [8 * 1 * 2 * 4] * 2  # held-out evals count nothing
+    assert all(type(c) is int for c in report.guard_counts)  # stages.jsonl is JSON
+
+
+def test_hybrid_transfer_guard_counts_are_the_empty_la_contexts():
+    model = init_model(TINY)
+    model.attach_feature_maps(4)
+    cfg = TrainConfig(batch_size=3, seed=5)
+    report = run_attention_transfer(model, TransferObjective.HYBRID_OUTPUTS_MSE, cfg,
+                                    tiny_data(n=8)["tokens"], win=WindowSpec(4),
+                                    hy=HybridSpec(0.5), epochs=2)
+    assert report.guard_counts == [8 * 1 * 2 * 4] * 2
+
+
+def test_overlap_guard_counts_are_zero():
+    model = init_model(TINY)
+    model.attach_feature_maps(4)
+    data = tiny_data(n=8)
+    cfg = TrainConfig(batch_size=4, finetune_epochs=1, seed=5)
+    overlap = HybridSpec(0.5, overlap=True)
+    transfer = run_attention_transfer(model, TransferObjective.HYBRID_OUTPUTS_MSE, cfg,
+                                      data["tokens"], win=WindowSpec(4), hy=overlap)
+    model.lora_attach(rank=2)
+    finetune = run_finetune(model, cfg, None, data, data, win=WindowSpec(4), hy=overlap)
+    assert transfer.guard_counts == finetune.guard_counts == [0]

@@ -12,7 +12,6 @@ from hafx.attention import (
     WindowSpec,
     apply_rope,
     feature_map_apply,
-    guard_count,
     hybrid_attention,
     linear_attention,
     linear_attention_masked,
@@ -257,13 +256,11 @@ def test_differentiable_path_matches_streaming():
 
 
 def test_denominator_guard_counts():
-    from hafx.attention import reset_guard_count
-
-    reset_guard_count()
     zeros = np.zeros((3, 4))
     v = np.ones((3, 2))
-    out = linear_attention(Tensor(zeros), Tensor(zeros), Tensor(v))
-    assert guard_count() == 3
+    clamps = []
+    out = linear_attention(Tensor(zeros), Tensor(zeros), Tensor(v), clamps=clamps)
+    assert clamps == [3]
     np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
     stream, guards = linear_attention_streaming(zeros, zeros, v)
     assert guards == 3
@@ -336,14 +333,14 @@ def test_linear_attention_gradient_vs_finite_diff_across_chunks(which):
 def test_linear_attention_clamp_counts_match_reference(T, lag):
     phi_q, phi_k, v = la_inputs(T + lag, T)
     phi_q[:, ::7] = 0.0  # these queries' denominators are 0 whatever they see
-    counts = []
-    for fn in (lambda: linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), lag=lag),
-               lambda: linear_attention_masked(Tensor(phi_q), Tensor(phi_k), Tensor(v),
-                                               lagged_mult_mask(T, lag))):
-        before = guard_count()
-        fn()
-        counts.append(guard_count() - before)
-    assert counts[0] == counts[1] > 0
+    chunked, masked = [], []
+    out = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), lag=lag, clamps=chunked)
+    uncounted = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), lag=lag)
+    assert (out.data == uncounted.data).all()  # the list only collects counts
+    linear_attention_masked(Tensor(phi_q), Tensor(phi_k), Tensor(v), lagged_mult_mask(T, lag),
+                            clamps=masked)
+    assert len(chunked) == -(-T // 64) and len(masked) == 1
+    assert sum(chunked) == sum(masked) > 0
 
 
 # -- sliding window / sinks ---------------------------------------------------
