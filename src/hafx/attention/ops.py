@@ -85,10 +85,6 @@ class RoPEParams:
 # -- masks -------------------------------------------------------------------
 
 
-def causal_mult_mask(T):
-    return np.tril(np.ones((T, T)))
-
-
 def lagged_mult_mask(T, window):
     """Keys strictly outside the sliding window: i <= t - window (0-based)."""
     t = np.arange(T)
@@ -192,8 +188,8 @@ def feature_map_apply(params, x):
 def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS, clamps=None):
     """Normalised linear attention via a masked (T, T) kernel matrix.
 
-    The reference form of `linear_attention`: with `causal_mult_mask(T)` or
-    `lagged_mult_mask(T, lag)` it is the same attention at O(T^2) cost.
+    The reference form of `linear_attention`: with `lagged_mult_mask(T, lag)`
+    it is the same attention at O(T^2) cost.
     Denominators below eps are clamped and counted, as in `linear_attention`.
     """
     kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(mult_mask)
@@ -253,18 +249,6 @@ def linear_attention_streaming(phi_q, phi_k, v, eps=LA_EPS):
     clamps = []
     out = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), eps=eps, clamps=clamps)
     return out.data, sum(clamps)
-
-
-def linear_attention_quadratic_oracle(phi_q, phi_k, v, eps=LA_EPS):
-    """Reference form over the explicit causal kernel matrix (plain numpy)."""
-    phi_q = np.asarray(phi_q, dtype=np.float64)
-    phi_k = np.asarray(phi_k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    T = phi_q.shape[0]
-    kernel = (phi_q @ phi_k.T) * np.tril(np.ones((T, T)))
-    den = kernel.sum(axis=-1, keepdims=True)
-    den = np.maximum(den, eps)
-    return (kernel @ v) / den
 
 
 def softmax_attention_full_np(q, k, v):

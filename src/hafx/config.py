@@ -113,9 +113,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.values == other.values
-
     # -- object builders ------------------------------------------------------
 
     def model_config(self):

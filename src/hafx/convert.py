@@ -1,6 +1,7 @@
-"""Conversion machinery: attention-transfer objectives, LoRA fine-tuning
-with scheduled sliding-window dropout, and the two-stage weights-transfer +
-fine-tune pipeline with early stopping."""
+"""Conversion machinery: attention-transfer objectives, and LoRA fine-tuning
+with scheduled sliding-window dropout and an optional early stop. HedgeCATs
+is weights-CE transfer followed by an early-stopped fine-tune
+(`pipelines.cmd_hedgecats`)."""
 
 import enum
 import time
@@ -17,7 +18,6 @@ from .attention import (
     hybrid_attention,
     linear_attention,
 )
-from .attention.ops import causal_mult_mask
 from .errors import ConfigError, ContractError
 from .model import AttnSettings, Model, lm_loss
 from .optim import AdamW, ReduceOnPlateau
@@ -128,7 +128,8 @@ def transfer_loss(objective, q, k, v, phi, win, hy, clamps=None):
         phi_k = feature_map_apply(phi, kt)
         if objective is TransferObjective.WEIGHTS_CE:
             teacher = _teacher_weights(q, k)
-            kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(causal_mult_mask(q.shape[-2]))
+            causal = np.tril(np.ones((q.shape[-2], q.shape[-2])))
+            kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(causal)
             p = kernel / kernel.sum(axis=-1, keepdims=True).clamp_min(CE_LOG_EPS)
             ce = -(Tensor(teacher) * (p + CE_LOG_EPS).log()).sum(axis=-1)
             return ce.mean()
@@ -313,20 +314,3 @@ def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout,
                   cfg.accumulation, heldout=heldout, eval_attn=eval_attn, plateau=True,
                   checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)
 
-
-def run_hedgecats(model: Model, cfg: TrainConfig, stage2_epochs, transfer_data,
-                  train, heldout, eval_gap_fn=None, win=None, hy=None,
-                  checkpoint_fn=None):
-    """Two-stage conversion: LA-only attention-weights transfer, then brief
-    hybrid LoRA fine-tuning with early stopping on the hybrid-vs-SWA-only
-    eval gap (stop once the gap is non-positive)."""
-    stage1 = run_attention_transfer(model, TransferObjective.WEIGHTS_CE, cfg,
-                                    transfer_data, win=win, hy=hy)
-    if checkpoint_fn is not None:
-        stage1.checkpoints.append(checkpoint_fn(model, 0))
-    if model.lora is None:
-        model.lora_attach()
-    stage2 = run_finetune(model, cfg, None, train, heldout, win=win, hy=hy,
-                          checkpoint_fn=checkpoint_fn, epochs=stage2_epochs,
-                          eval_gap_fn=eval_gap_fn)
-    return stage1, stage2

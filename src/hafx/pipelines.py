@@ -7,13 +7,7 @@ import os
 from .attention import Activation, WindowSpec
 from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
-from .convert import (
-    TransferObjective,
-    run_attention_transfer,
-    run_base_training,
-    run_finetune,
-    run_hedgecats,
-)
+from .convert import TransferObjective, run_attention_transfer, run_base_training, run_finetune
 from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, evaluate_task
 from .model import AttnSettings, init_model
 from .tasks import TaskSpec, gen_task, merge_datasets
@@ -90,7 +84,7 @@ def eval_windows(cfg: RunConfig, tasks):
 def _prepare_out(cfg: RunConfig):
     out = cfg.output_dir()
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "run.cfg"), "w") as f:
+    with atomic_open(os.path.join(out, "run.cfg"), "w") as f:
         f.write(serialise_config(cfg))
     return out
 
@@ -104,7 +98,9 @@ def _get_base_model(cfg: RunConfig, base_ckpt, out, stages_path):
     report = run_base_training(
         model, cfg.train_config(), merged_train, merged_eval, cfg["train.base_epochs"]
     )
-    save_model(os.path.join(out, "base.ckpt"), model, "base")
+    path = os.path.join(out, "base.ckpt")
+    save_model(path, model, "base")
+    report.checkpoints.append(path)
     record_stage(stages_path, report.to_dict())
     return model
 
@@ -137,14 +133,19 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
 def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False):
     """LoRA fine-tuning (optionally with scheduled SWA dropout) from a
     post-transfer checkpoint."""
-    out = _prepare_out(cfg)
     model, _stage = load_model(ckpt)
+    return _finetune(cfg, model, cfg.ssd() if use_ssd else None)
+
+
+def _finetune(cfg: RunConfig, model, ssd=None, epochs=None, eval_gap_fn=None):
+    """LoRA fine-tuning of `model`, attaching the configured adapters if it
+    has none; checkpoints every epoch and the final model."""
+    out = _prepare_out(cfg)
     if model.lora is None:
         model.lora_attach(
             tuple(cfg["lora.targets"]), cfg["lora.rank"], cfg["lora.alpha"]
         )
     conv_train, conv_eval = conversion_datasets(cfg)
-    ssd = cfg.ssd() if use_ssd else None
 
     def checkpoint_fn(m, epoch):
         path = os.path.join(out, f"post-finetune-epoch{epoch}.ckpt")
@@ -160,6 +161,8 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False):
         win=cfg.window(),
         hy=cfg.hybrid(),
         checkpoint_fn=checkpoint_fn,
+        epochs=epochs,
+        eval_gap_fn=eval_gap_fn,
     )
     path = os.path.join(out, "post-finetune.ckpt")
     save_model(path, model, "post-finetune")
@@ -169,63 +172,32 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False):
 
 
 def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
-    """Two-stage pipeline: weights-transfer (LA-only), then brief hybrid
-    LoRA fine-tuning with early stopping on the hybrid-vs-SWA-only gap."""
-    out = _prepare_out(cfg)
-    stages = os.path.join(out, "stages.jsonl")
-    model = _get_base_model(cfg, base_ckpt, out, stages)
-    if model.phi is None:
-        model.attach_feature_maps(cfg.d_prime(), cfg.activation())
-    model.lora_attach(tuple(cfg["lora.targets"]), cfg["lora.rank"], cfg["lora.alpha"])
+    """HedgeCATs: weights-CE attention transfer, then hybrid LoRA
+    fine-tuning of the model in memory for at most `train.stage2_epochs`,
+    stopped early once the hybrid-vs-SWA-only eval gap closes."""
+    model, stage1 = cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
     evals = eval_datasets(cfg)
-    conv_train, conv_eval = conversion_datasets(cfg)
     wins = eval_windows(cfg, evals)
 
+    def accuracy(m, name, mode):
+        attn = AttnSettings("hybrid", mode, wins[name], cfg.hybrid())
+        return evaluate_task(m, evals[name], attn)[0]
+
     def eval_gap_fn(m):
-        gaps = []
-        for name, data in evals.items():
-            hy = cfg.hybrid()
-            w = wins[name]
-            full = evaluate_task(
-                m, data, AttnSettings("hybrid", AblationMode.FULL_HYBRID, w, hy)
-            )[0]
-            swa = evaluate_task(
-                m, data, AttnSettings("hybrid", AblationMode.SWA_ONLY, w, hy)
-            )[0]
-            gaps.append(full - swa)
+        gaps = [accuracy(m, name, AblationMode.FULL_HYBRID)
+                - accuracy(m, name, AblationMode.SWA_ONLY) for name in evals]
         return sum(gaps) / len(gaps)
 
-    def checkpoint_fn(m, epoch):
-        name = "post-transfer.ckpt" if epoch == 0 else f"hedgecats-epoch{epoch}.ckpt"
-        path = os.path.join(out, name)
-        save_model(path, m, "post-transfer" if epoch == 0 else "post-finetune")
-        return path
-
-    stage1, stage2 = run_hedgecats(
-        model,
-        cfg.train_config(),
-        cfg["train.stage2_epochs"],
-        conv_train["tokens"],
-        conv_train,
-        conv_eval,
-        eval_gap_fn=eval_gap_fn,
-        win=cfg.window(),
-        hy=cfg.hybrid(),
-        checkpoint_fn=checkpoint_fn,
-    )
-    path = os.path.join(out, "post-finetune.ckpt")
-    save_model(path, model, "post-finetune")
-    record_stage(stages, stage1.to_dict())
-    record_stage(stages, stage2.to_dict())
+    model, stage2 = _finetune(cfg, model, epochs=cfg["train.stage2_epochs"],
+                              eval_gap_fn=eval_gap_fn)
     return model, (stage1, stage2)
 
 
 def cmd_ssd_run(cfg: RunConfig, base_ckpt=None):
     """Transfer per the configured objective, then LoRA fine-tuning under
     the configured dropout/window schedule."""
-    model, _ = cmd_transfer(cfg, base_ckpt=base_ckpt)
-    out = cfg.output_dir()
-    return cmd_finetune(cfg, os.path.join(out, "post-transfer.ckpt"), use_ssd=True)
+    cmd_transfer(cfg, base_ckpt=base_ckpt)
+    return cmd_finetune(cfg, os.path.join(cfg.output_dir(), "post-transfer.ckpt"), use_ssd=True)
 
 
 def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, stage=None, csv_name="ablation.csv"):

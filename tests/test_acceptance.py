@@ -19,7 +19,6 @@ from hafx.attention import (
     feature_map_apply,
     hybrid_attention,
     linear_attention_masked,
-    linear_attention_quadratic_oracle,
     linear_attention_streaming,
     sinks_attention,
     softmax_attention_causal,
@@ -46,6 +45,8 @@ from hafx.tensor import (
     row_softmax,
     take_along_last,
 )
+
+from .reference import linear_attention_quadratic_oracle
 
 TINY = ModelConfig(vocab_size=16, d_model=16, n_layers=1, n_heads=2, max_T=16, mlp_width=32)
 

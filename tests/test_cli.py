@@ -172,6 +172,25 @@ def test_failed_csv_write_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
 
 
+def test_failed_run_cfg_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    from hafx.pipelines import _prepare_out
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    cfg = parse_config("seed = 3\n")
+    _prepare_out(cfg)
+    path = tmp_path / "run.cfg"
+    before = path.read_text()
+    assert before == serialise_config(cfg)
+    with pytest.raises(RuntimeError):
+        _prepare_out(RunConfig(dict(cfg.values, seed=Unprintable())))
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 # -- pipelines ------------------------------------------------------------------
 
 
@@ -283,3 +302,67 @@ def test_eval_prints_evaluate_task_accuracy_per_task(tmp_path, monkeypatch, caps
         for line, (task, data) in zip(lines, evals.items()):
             acc = evaluate_task(model, data, attn_of(task))[0]
             assert f"acc={acc:.4f} " in line, (flags, line)
+
+
+# the acceptance suite's criterion-9 recipe
+CRITERION9 = (
+    "seed = 3\nmodel.vocab_size = 32\nmodel.d_model = 16\nmodel.n_layers = 1\n"
+    "model.n_heads = 2\nmodel.mlp_width = 32\nmodel.max_T = 32\nattn.window = 8\n"
+    "ssd.dropout = 0.5\nssd.window = 4,8\ntask.kinds = assoc_recall\ntask.T = 16\n"
+    "task.n_examples = 64\ntask.n_pairs = 4\ntask.n_keys = 4\ntask.n_values = 4\n"
+    "train.base_epochs = 1\ntrain.finetune_epochs = 1\ntrain.batch_size = 8\n"
+    "train.accumulation = 1\n"
+)
+
+
+def stage_records(out_dir):
+    import json
+
+    lines = (out_dir / "stages.jsonl").read_text().splitlines()
+    return {r["stage"]: r for r in map(json.loads, lines)}
+
+
+def test_transfer_from_scratch_records_each_stage_checkpoint(tmp_path, monkeypatch):
+    from hafx.pipelines import cmd_transfer
+
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    cmd_transfer(parse_config(CRITERION9))
+    records = stage_records(tmp_path)
+    assert list(records) == ["base", "post-transfer"]
+    for stage, record in records.items():
+        assert record["checkpoints"] == [str(tmp_path / f"{stage}.ckpt")], stage
+        assert (tmp_path / f"{stage}.ckpt").exists(), stage
+
+
+def test_hedgecats_is_weights_ce_transfer_then_early_stopped_finetune(tmp_path, monkeypatch):
+    """HedgeCATs' post-transfer.ckpt is what `hafx transfer` writes with the
+    weights-CE objective (no LoRA adapters yet), and its fine-tune stage
+    writes the fine-tune checkpoints for at most `train.stage2_epochs`."""
+    from hafx.checkpoint import load_checkpoint
+    from hafx.pipelines import cmd_hedgecats, cmd_transfer
+
+    cfg = parse_config(CRITERION9 + "train.stage2_epochs = 3\n")
+    base, hedge, transfer = tmp_path / "base", tmp_path / "hedge", tmp_path / "transfer"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(base))
+    cmd_transfer(cfg)
+    base_ckpt = str(base / "base.ckpt")
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(hedge))
+    cmd_hedgecats(cfg, base_ckpt=base_ckpt)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(transfer))
+    cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
+
+    name = "post-transfer.ckpt"
+    assert (hedge / name).read_bytes() == (transfer / name).read_bytes()
+    tensors, _meta = load_checkpoint(str(hedge / name))
+    assert not [n for n in tensors if ".lora_" in n]
+
+    records = stage_records(hedge)
+    assert list(records) == ["post-transfer", "post-finetune"]
+    finetune = records["post-finetune"]
+    epochs = len(finetune["epoch_losses"])
+    assert 1 <= epochs <= 3
+    assert finetune["checkpoints"] == (
+        [str(hedge / f"post-finetune-epoch{n}.ckpt") for n in range(1, epochs + 1)]
+        + [str(hedge / "post-finetune.ckpt")]
+    )
+    assert all(os.path.exists(p) for p in finetune["checkpoints"])

@@ -18,7 +18,6 @@ from hafx.convert import (
     run_attention_transfer,
     run_base_training,
     run_finetune,
-    run_hedgecats,
     ssd_sample,
     transfer_loss,
 )
@@ -311,13 +310,23 @@ def test_finetune_updates_only_lora():
             assert (p.data == before[name]).all(), name
 
 
+def hedgecats(model, cfg, stage2_epochs, data, eval_gap_fn=None):
+    """Weights-CE transfer, then LoRA fine-tuning with an early stop."""
+    win, hy = WindowSpec(4), HybridSpec(0.5)
+    s1 = run_attention_transfer(model, TransferObjective.WEIGHTS_CE, cfg, data["tokens"],
+                                win=win, hy=hy)
+    model.lora_attach()
+    s2 = run_finetune(model, cfg, None, data, data, win=win, hy=hy, epochs=stage2_epochs,
+                      eval_gap_fn=eval_gap_fn)
+    return s1, s2
+
+
 def test_hedgecats_stage2_zero_is_transfer_only():
     model = init_model(TINY)
     model.attach_feature_maps(4)
     data = tiny_data(n=8)
     cfg = TrainConfig(batch_size=4, seed=2)
-    s1, s2 = run_hedgecats(model, cfg, 0, data["tokens"], data, data,
-                           win=WindowSpec(4), hy=HybridSpec(0.5))
+    s1, s2 = hedgecats(model, cfg, 0, data)
     assert s1.epoch_losses and not s2.epoch_losses
 
 
@@ -332,8 +341,7 @@ def test_hedgecats_early_stop_on_closed_gap():
         calls.append(1)
         return -0.1  # gap already closed -> stop after the first epoch
 
-    _, s2 = run_hedgecats(model, cfg, 5, data["tokens"], data, data,
-                          eval_gap_fn=gap, win=WindowSpec(4), hy=HybridSpec(0.5))
+    _, s2 = hedgecats(model, cfg, 5, data, eval_gap_fn=gap)
     assert len(s2.epoch_losses) == 1 and len(calls) == 1
 
 

@@ -15,7 +15,6 @@ from hafx.attention import (
     hybrid_attention,
     linear_attention,
     linear_attention_masked,
-    linear_attention_quadratic_oracle,
     linear_attention_streaming,
     sinks_attention,
     sliding_window_attention,
@@ -26,6 +25,8 @@ from hafx.attention.ops import lagged_mult_mask
 from hafx.errors import ShapeError
 from hafx.rng import SeededRng
 from hafx.tensor import Tensor, finite_diff_check, row_softmax
+
+from .reference import causal_mult_mask, linear_attention_quadratic_oracle
 
 
 def brute_force_masked_softmax(q, k, v, allowed):
@@ -493,8 +494,6 @@ def test_hybrid_branch_additivity():
 def test_hybrid_matches_composed_oracles(overlap):
     (q, k, v), phi = hybrid_args(T=32, d=8)
     from hafx.attention import feature_map_apply as fma
-    from hafx.attention import linear_attention_masked
-    from hafx.attention.ops import causal_mult_mask, lagged_mult_mask
 
     win, hy = WindowSpec(8), HybridSpec(0.5, overlap=overlap)
     mode = AblationMode.HYBRID_OVERLAP if overlap else AblationMode.FULL_HYBRID
