@@ -14,11 +14,18 @@ import contextlib
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
 from .attention import Activation
-from .errors import BadMagicError, CheckpointError, TruncatedFileError, VersionMismatchError
+from .errors import (
+    BadMagicError,
+    CheckpointError,
+    HafxError,
+    TruncatedFileError,
+    VersionMismatchError,
+)
 from .model import Model, ModelConfig, init_model
 
 MAGIC = b"HAFX"
@@ -82,7 +89,12 @@ def load_checkpoint(path):
         if version != VERSION:
             raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4))
-        meta = json.loads(_read_exact(f, meta_len).decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(f, meta_len).decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise CheckpointError(f"{path}: meta block is not UTF-8 JSON: {e}") from e
+        if not isinstance(meta, dict) or meta.get("stage") not in STAGES:
+            raise CheckpointError(f"{path}: meta block has no stage in {STAGES}")
         (n,) = struct.unpack("<I", _read_exact(f, 4))
         tensors = {}
         for _ in range(n):
@@ -97,7 +109,7 @@ def load_checkpoint(path):
 
 
 def save_model(path, model: Model, stage):
-    meta = {"config": model.cfg.to_dict()}
+    meta = {"config": asdict(model.cfg)}
     if model.phi_meta is not None:
         d_prime, act = model.phi_meta
         meta["phi"] = {"d_prime": d_prime, "activation": act.value}
@@ -111,19 +123,21 @@ def save_model(path, model: Model, stage):
 def load_model(path):
     """Rebuild a Model (float64 working precision) from a checkpoint.
 
-    Every tensor must belong to the model the meta block describes, with the
-    shape of that parameter and finite values.
+    The meta block must describe a model, and every tensor must belong to
+    that model, with the shape of its parameter and finite values.
     """
     tensors, meta = load_checkpoint(path)
-    cfg = ModelConfig(**meta["config"])
-    model = init_model(cfg)
-    if "phi" in meta:
-        model.attach_feature_maps(
-            meta["phi"]["d_prime"], Activation(meta["phi"]["activation"])
-        )
-    if "lora" in meta:
-        lora = meta["lora"]
-        model.lora_attach(tuple(lora["targets"]), lora["rank"], lora["alpha"])
+    try:
+        model = init_model(ModelConfig(**meta["config"]))
+        if "phi" in meta:
+            model.attach_feature_maps(
+                meta["phi"]["d_prime"], Activation(meta["phi"]["activation"])
+            )
+        if "lora" in meta:
+            lora = meta["lora"]
+            model.lora_attach(tuple(lora["targets"]), lora["rank"], lora["alpha"])
+    except (HafxError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: meta block does not describe a model: {e!r}") from e
     params = model.named_parameters()
     missing = set(params) - set(tensors)
     if missing:

@@ -1,11 +1,11 @@
 """Conversion machinery: attention-transfer objectives, and LoRA fine-tuning
-with scheduled sliding-window dropout and an optional early stop. HedgeCATs
-is weights-CE transfer followed by an early-stopped fine-tune
-(`pipelines.cmd_hedgecats`)."""
+with scheduled sliding-window dropout and an optional early stop. Each
+`run_*` stage trains the model it is given in place; `pipelines` chains the
+stages through the checkpoints they write (HedgeCATs is `cmd_hedgecats`)."""
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -85,14 +85,7 @@ class StageReport:
     checkpoints: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "stage": self.stage,
-            "epoch_losses": self.epoch_losses,
-            "eval_losses": self.eval_losses,
-            "guard_counts": self.guard_counts,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "checkpoints": self.checkpoints,
-        }
+        return dict(asdict(self), wall_time_s=round(self.wall_time_s, 3))
 
 
 # -- transfer objectives --------------------------------------------------------
@@ -215,8 +208,7 @@ def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_
     return report
 
 
-def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs,
-                      checkpoint_fn=None):
+def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs):
     """Full-parameter LM training with plain softmax attention; produces the
     desk-scale stand-in for a pre-trained base model."""
     model.set_trainable(lambda n: ".phi." not in n and ".lora_" not in n)
@@ -233,8 +225,7 @@ def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs,
     # decaying on the pre-transition plateau can prevent it entirely
     return _train(model, cfg, "base", cfg.lr_base, epochs, batches,
                   lambda _epoch, _s: attn, partial(_lm_batch_loss, model, train),
-                  cfg.accumulation, heldout=heldout, eval_attn=attn,
-                  checkpoint_fn=checkpoint_fn)
+                  cfg.accumulation, heldout=heldout, eval_attn=attn)
 
 
 def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,

@@ -176,9 +176,6 @@ class BenchReport:
                 out[t1] = float(np.median(per_round))
         return out
 
-    def csv_rows(self):
-        return self.rows
-
 
 def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
     """Wall times for the chunked-LA and quadratic-softmax paths.

@@ -42,6 +42,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads, self.max_T) < 1:
+            raise ShapeError("model sizes must be positive")
         if self.d_model % self.n_heads:
             raise ShapeError("d_model must be divisible by n_heads")
         if self.mlp_width == 0:
@@ -50,17 +52,6 @@ class ModelConfig:
     @property
     def h_d(self):
         return self.d_model // self.n_heads
-
-    def to_dict(self):
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "mlp_width": self.mlp_width,
-            "max_T": self.max_T,
-            "seed": self.seed,
-        }
 
 
 @dataclass

@@ -1,16 +1,22 @@
 """Run orchestration shared by the CLI subcommands: dataset assembly,
-stage pipelines, and deterministic CSV/JSON-lines persistence."""
+stage pipelines, and deterministic CSV/JSON-lines persistence.
+
+Every stage starts from the checkpoint its predecessor wrote: transfer
+loads `base.ckpt` (trained first when none is given), fine-tuning loads
+`post-transfer.ckpt`, and `hedgecats` and `ssd-run` chain those two
+commands. So a run resumed from its own checkpoints writes the same bytes
+as the run that wrote them."""
 
 import json
 import os
 
-from .attention import Activation, WindowSpec
+from .attention import WindowSpec
 from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
 from .convert import TransferObjective, run_attention_transfer, run_base_training, run_finetune
 from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, evaluate_task
 from .model import AttnSettings, init_model
-from .tasks import TaskSpec, gen_task, merge_datasets
+from .tasks import gen_task, merge_datasets
 
 CSV_FLOAT_FMT = "{:.6f}"
 
@@ -89,28 +95,33 @@ def _prepare_out(cfg: RunConfig):
     return out
 
 
-def _get_base_model(cfg: RunConfig, base_ckpt, out, stages_path):
+def _save_stage(out, model, report):
+    """The epilogue of every stage: write `<out>/<report.stage>.ckpt`, list
+    it in the report and record the stage in `stages.jsonl`."""
+    path = os.path.join(out, f"{report.stage}.ckpt")
+    save_model(path, model, report.stage)
+    report.checkpoints.append(path)
+    record_stage(os.path.join(out, "stages.jsonl"), report.to_dict())
+    return path
+
+
+def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
+    """`base_ckpt`, or else the `base.ckpt` of a base model trained here."""
     if base_ckpt:
-        model, stage = load_model(base_ckpt)
-        return model
+        return base_ckpt
     merged_train, merged_eval = build_datasets(cfg)
     model = init_model(cfg.model_config())
     report = run_base_training(
         model, cfg.train_config(), merged_train, merged_eval, cfg["train.base_epochs"]
     )
-    path = os.path.join(out, "base.ckpt")
-    save_model(path, model, "base")
-    report.checkpoints.append(path)
-    record_stage(stages_path, report.to_dict())
-    return model
+    return _save_stage(out, model, report)
 
 
 def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
-    """Train (or load) the base model, attach feature maps, run attention
-    transfer, and checkpoint the post-transfer model."""
+    """Attention transfer from the base checkpoint (trained first when none
+    is given); writes `post-transfer.ckpt`."""
     out = _prepare_out(cfg)
-    stages = os.path.join(out, "stages.jsonl")
-    model = _get_base_model(cfg, base_ckpt, out, stages)
+    model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
     if model.phi is None:
         model.attach_feature_maps(cfg.d_prime(), cfg.activation())
     # attention transfer has no held-out eval, so only the train split is built
@@ -123,23 +134,16 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
         win=cfg.window(),
         hy=cfg.hybrid(),
     )
-    path = os.path.join(out, "post-transfer.ckpt")
-    save_model(path, model, "post-transfer")
-    report.checkpoints.append(path)
-    record_stage(stages, report.to_dict())
+    _save_stage(out, model, report)
     return model, report
 
 
-def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False):
-    """LoRA fine-tuning (optionally with scheduled SWA dropout) from a
-    post-transfer checkpoint."""
+def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=None):
+    """LoRA fine-tuning from a post-transfer checkpoint, attaching the
+    configured adapters if it has none, optionally with scheduled SWA
+    dropout and an early stop (`convert.run_finetune`); checkpoints every
+    epoch and the final model."""
     model, _stage = load_model(ckpt)
-    return _finetune(cfg, model, cfg.ssd() if use_ssd else None)
-
-
-def _finetune(cfg: RunConfig, model, ssd=None, epochs=None, eval_gap_fn=None):
-    """LoRA fine-tuning of `model`, attaching the configured adapters if it
-    has none; checkpoints every epoch and the final model."""
     out = _prepare_out(cfg)
     if model.lora is None:
         model.lora_attach(
@@ -152,30 +156,19 @@ def _finetune(cfg: RunConfig, model, ssd=None, epochs=None, eval_gap_fn=None):
         save_model(path, m, "post-finetune")
         return path
 
-    report = run_finetune(
-        model,
-        cfg.train_config(),
-        ssd,
-        conv_train,
-        conv_eval,
-        win=cfg.window(),
-        hy=cfg.hybrid(),
-        checkpoint_fn=checkpoint_fn,
-        epochs=epochs,
-        eval_gap_fn=eval_gap_fn,
-    )
-    path = os.path.join(out, "post-finetune.ckpt")
-    save_model(path, model, "post-finetune")
-    report.checkpoints.append(path)
-    record_stage(os.path.join(out, "stages.jsonl"), report.to_dict())
+    report = run_finetune(model, cfg.train_config(), cfg.ssd() if use_ssd else None,
+                          conv_train, conv_eval, win=cfg.window(), hy=cfg.hybrid(),
+                          checkpoint_fn=checkpoint_fn, epochs=epochs, eval_gap_fn=eval_gap_fn)
+    _save_stage(out, model, report)
     return model, report
 
 
 def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
     """HedgeCATs: weights-CE attention transfer, then hybrid LoRA
-    fine-tuning of the model in memory for at most `train.stage2_epochs`,
-    stopped early once the hybrid-vs-SWA-only eval gap closes."""
-    model, stage1 = cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
+    fine-tuning from its `post-transfer.ckpt` for at most
+    `train.stage2_epochs`, stopped early once the hybrid-vs-SWA-only eval
+    gap closes."""
+    _, stage1 = cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
     evals = eval_datasets(cfg)
     wins = eval_windows(cfg, evals)
 
@@ -188,21 +181,21 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
                 - accuracy(m, name, AblationMode.SWA_ONLY) for name in evals]
         return sum(gaps) / len(gaps)
 
-    model, stage2 = _finetune(cfg, model, epochs=cfg["train.stage2_epochs"],
-                              eval_gap_fn=eval_gap_fn)
+    model, stage2 = cmd_finetune(cfg, stage1.checkpoints[-1],
+                                 epochs=cfg["train.stage2_epochs"], eval_gap_fn=eval_gap_fn)
     return model, (stage1, stage2)
 
 
 def cmd_ssd_run(cfg: RunConfig, base_ckpt=None):
     """Transfer per the configured objective, then LoRA fine-tuning under
     the configured dropout/window schedule."""
-    cmd_transfer(cfg, base_ckpt=base_ckpt)
-    return cmd_finetune(cfg, os.path.join(cfg.output_dir(), "post-transfer.ckpt"), use_ssd=True)
+    _, transfer = cmd_transfer(cfg, base_ckpt=base_ckpt)
+    return cmd_finetune(cfg, transfer.checkpoints[-1], use_ssd=True)
 
 
-def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, stage=None, csv_name="ablation.csv"):
+def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):
     out = _prepare_out(cfg)
-    model, ckpt_stage = load_model(ckpt)
+    model, stage = load_model(ckpt)
     evals = eval_datasets(cfg)
     report = evaluate_ablations(
         model,
@@ -210,7 +203,7 @@ def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, stage=None, csv_name="abla
         modes=modes,
         hy=cfg.hybrid(),
         win=eval_windows(cfg, evals),
-        stage=stage or ckpt_stage,
+        stage=stage,
     )
     path = write_csv(
         os.path.join(out, csv_name),
@@ -238,5 +231,5 @@ def cmd_eval(cfg: RunConfig, ckpt, mode=AblationMode.FULL_HYBRID, softmax=False)
 
 def cmd_bench(T_list, d=64, d_prime=8, reps=3, out_path="bench.csv", seed=0):
     report = benchmark_scaling(T_list, d=d, d_prime=d_prime, reps=reps, seed=seed)
-    write_csv(out_path, ("path", "T", "median_ms", "aux_bytes"), report.csv_rows())
+    write_csv(out_path, ("path", "T", "median_ms", "aux_bytes"), report.rows)
     return report

@@ -366,3 +366,49 @@ def test_hedgecats_is_weights_ce_transfer_then_early_stopped_finetune(tmp_path, 
         + [str(hedge / "post-finetune.ckpt")]
     )
     assert all(os.path.exists(p) for p in finetune["checkpoints"])
+
+
+@pytest.mark.parametrize("objective", [None, TransferObjective.WEIGHTS_CE],
+                         ids=["configured", "weights_ce"])
+def test_transfer_from_scratch_starts_from_its_base_checkpoint(tmp_path, monkeypatch,
+                                                               objective):
+    """`hafx transfer` from scratch transfers from the float32 base.ckpt it
+    wrote, so a transfer resumed from that file writes the same bytes."""
+    from hafx.pipelines import cmd_transfer
+
+    cfg = parse_config(CRITERION9)
+    scratch, resumed = tmp_path / "scratch", tmp_path / "resumed"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(scratch))
+    cmd_transfer(cfg, None, objective)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(resumed))
+    cmd_transfer(cfg, str(scratch / "base.ckpt"), objective)
+    name = "post-transfer.ckpt"
+    assert (scratch / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def test_hedgecats_finetunes_from_its_post_transfer_checkpoint(tmp_path, monkeypatch):
+    """HedgeCATs' fine-tune stage starts from the post-transfer.ckpt it
+    wrote: with one epoch in both, its post-finetune.ckpt equals `hafx
+    finetune` run on that file."""
+    from hafx.pipelines import cmd_finetune, cmd_hedgecats
+
+    cfg = parse_config(CRITERION9 + "train.stage2_epochs = 1\n")
+    hedge, apart = tmp_path / "hedge", tmp_path / "apart"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(hedge))
+    cmd_hedgecats(cfg)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(apart))
+    cmd_finetune(cfg, str(hedge / "post-transfer.ckpt"))
+    name = "post-finetune.ckpt"
+    assert (hedge / name).read_bytes() == (apart / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune", "ablate"])
+def test_malformed_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys, command):
+    from hafx.checkpoint import save_checkpoint
+
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, {}, {"config": {"vocab_size": 32, "colour": 1}}, "base")
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    assert main([command, "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.ckpt: meta block" in err

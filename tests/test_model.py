@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,40 @@ def test_load_model_rejects_non_finite_values(tmp_path, model):
     save_model(path, model, "base")
     resave(path, lambda t: t["emb"].__setitem__((0, 0), np.nan))
     with pytest.raises(CheckpointError, match=r"nan\.ckpt: tensor 'emb' holds non-finite"):
+        load_model(path)
+
+
+def rewrite_meta(path, edit=None, blob=None):
+    """Replace the meta block of the checkpoint at `path` with `blob`, or
+    with its JSON after `edit(meta)`; the tensors stay as they are."""
+    data = path.read_bytes()
+    end = 12 + int.from_bytes(data[8:12], "little")
+    if blob is None:
+        meta = json.loads(data[12:end])
+        edit(meta)
+        blob = json.dumps(meta).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[end:])
+
+
+@pytest.mark.parametrize("edit, blob", [
+    pytest.param(lambda m: m["config"].update(colour=1), None, id="unknown-config-key"),
+    pytest.param(lambda m: m.pop("config"), None, id="missing-config"),
+    pytest.param(lambda m: m["config"].update(vocab_size=-1), None, id="negative-vocab"),
+    pytest.param(lambda m: m["config"].update(n_heads=0), None, id="zero-heads"),
+    pytest.param(lambda m: m.update(phi={"d_prime": 4, "activation": "cubic"}), None,
+                 id="unknown-activation"),
+    pytest.param(lambda m: m.update(lora={"targets": ["wq"], "alpha": 16.0}), None,
+                 id="lora-without-rank"),
+    pytest.param(lambda m: m.update(stage="released"), None, id="unknown-stage"),
+    pytest.param(None, b'{"stage": "base", "config": \xff}', id="not-utf8"),
+    pytest.param(None, b'{"stage": "base", ', id="not-json"),
+    pytest.param(None, b'["base"]', id="not-an-object"),
+])
+def test_load_model_rejects_a_malformed_meta_block(tmp_path, model, edit, blob):
+    path = tmp_path / "meta.ckpt"
+    save_model(path, model, "base")
+    rewrite_meta(path, edit, blob)
+    with pytest.raises(CheckpointError, match=r"meta\.ckpt: meta block"):
         load_model(path)
 
 
