@@ -6,8 +6,8 @@ All kernels take tensors shaped (..., T, d) and are pure functions, so
 batched/multi-head evaluation is just broadcasting. The model's kernels run
 the same query chunks (`_chunks`), each over its own key block, so none
 builds a T x T array. Linear attention has one kernel, the chunkwise O(T)
-`linear_attention`; the masked kernel-matrix form and the numpy oracles
-below are references it is held to.
+`linear_attention`; the masked kernel-matrix form below is the reference
+it is held to.
 """
 
 import enum
@@ -234,43 +234,6 @@ def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS, clamps=None):
             dS, dz = k_out @ _rows(v, lo, hi), k_out.sum(axis=-1, keepdims=True)
             S, z = (dS, dz) if S is None else (S + dS, z + dz)
     return outs[0] if len(outs) == 1 else concat(outs, axis=-2)
-
-
-def streaming_state_bytes(d_prime2, d_v, itemsize=8):
-    """Footprint of the running state: S (F x d_v) plus z (F); T-free."""
-    return (d_prime2 * d_v + d_prime2) * itemsize
-
-
-def linear_attention_streaming(phi_q, phi_k, v, eps=LA_EPS):
-    """`linear_attention` with lag 0 on numpy arrays.
-
-    Returns (out: T x d_v, the number of denominators this call clamped).
-    """
-    clamps = []
-    out = linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v), eps=eps, clamps=clamps)
-    return out.data, sum(clamps)
-
-
-def softmax_attention_full_np(q, k, v):
-    """Plain-numpy causal softmax attention that materialises the T x T
-    score matrix; the quadratic reference path for the scaling benchmark.
-
-    The only T x T allocation is the float64 score matrix (T*T*8 bytes, the
-    auxiliary state the benchmark reports); masking, the max shift, exp and
-    normalisation run in place on it, with O(T) row temporaries besides.
-    Both products use einsum, which runs on the calling thread; `@` would
-    hand them to the BLAS thread pool, whose speed depends on whether the
-    machine's other cores are idle.
-    """
-    T, d = q.shape
-    scores = np.einsum("td,sd->ts", q, k)
-    scores *= 1.0 / np.sqrt(d)
-    for t in range(T - 1):
-        scores[t, t + 1:] = -np.inf
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return np.einsum("ts,sd->td", scores, v)
 
 
 def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False, clamps=None):

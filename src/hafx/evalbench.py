@@ -7,17 +7,11 @@ from functools import partial
 
 import numpy as np
 
-from .attention import (
-    AblationMode,
-    HybridSpec,
-    WindowSpec,
-    linear_attention_streaming,
-    softmax_attention_full_np,
-    streaming_state_bytes,
-)
+from .attention import AblationMode, HybridSpec, WindowSpec, linear_attention
 from .errors import ContractError
 from .model import AttnSettings, lm_loss
 from .rng import SeededRng
+from .tensor import Tensor
 
 ALL_MODES = (
     AblationMode.FULL_HYBRID,
@@ -121,6 +115,28 @@ def evaluate_ablations(model, tasks, modes=ALL_MODES, hy=None, win=None,
 # -- scaling benchmark ------------------------------------------------------------
 
 
+def softmax_attention_full_np(q, k, v):
+    """Plain-numpy causal softmax attention that materialises the T x T
+    score matrix; the quadratic path of the scaling benchmark.
+
+    The only T x T allocation is the float64 score matrix (T*T*8 bytes, the
+    auxiliary state the benchmark reports); masking, the max shift, exp and
+    normalisation run in place on it, with O(T) row temporaries besides.
+    Both products use einsum, which runs on the calling thread; `@` would
+    hand them to the BLAS thread pool, whose speed depends on whether the
+    machine's other cores are idle.
+    """
+    T, d = q.shape
+    scores = np.einsum("td,sd->ts", q, k)
+    scores *= 1.0 / np.sqrt(d)
+    for t in range(T - 1):
+        scores[t, t + 1:] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return np.einsum("ts,sd->td", scores, v)
+
+
 def _time_rounds(fns, reps, min_time=5e-2):
     """Per-call wall times of each fn over `reps` interleaved rounds.
 
@@ -186,15 +202,20 @@ def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
     one round to the next cancels out of the scaling ratios; the rows report
     each case's median over rounds.
 
-    The chunked path's auxiliary state is the fixed (S, z) accumulator pair
-    it carries across chunks; the quadratic path materialises the T x T
-    score matrix.
+    The chunked path runs `linear_attention` on numpy inputs wrapped in
+    Tensors; its auxiliary state is the fixed (S, z) accumulator pair it
+    carries across chunks, F x d plus F float64s for F = 2 * d_prime
+    features. The quadratic path materialises the T x T score matrix.
     """
     if reps < 3:
         raise ContractError("benchmark requires >= 3 repetitions")
+
+    def chunked_la(phi_q, phi_k, v):
+        return linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v)).data
+
     rng = SeededRng(seed, "bench")
     F = 2 * d_prime
-    stream_aux = streaming_state_bytes(F, d)
+    stream_aux = (F * d + F) * 8
     cases = {}  # (path, T) -> (fn, aux_bytes)
     for T in sorted(T_list):
         r = rng.child(f"T{T}")
@@ -205,7 +226,7 @@ def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
         phi_k = np.abs(r.normal((T, F))) + 0.01
 
         cases["streaming-chunked", T] = (
-            partial(linear_attention_streaming, phi_q, phi_k, v), stream_aux)
+            partial(chunked_la, phi_q, phi_k, v), stream_aux)
         cases["quadratic-softmax", T] = (
             partial(softmax_attention_full_np, q, k, v), T * T * 8)
     times = _time_rounds([fn for fn, _aux in cases.values()], reps)

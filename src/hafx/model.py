@@ -158,6 +158,8 @@ class Model:
             raise InputError("token id outside vocabulary")
         if tokens.shape[-1] > self.cfg.max_T:
             raise InputError(f"sequence longer than max_T={self.cfg.max_T}")
+        if attn.kind == "hybrid" and self.phi is None:
+            raise ContractError("hybrid attention requires feature maps; the model has none")
         x = embedding(self.params["emb"], tokens)
         for i in range(self.cfg.n_layers):
             x = x + self._attention(i, self._ln(f"layers.{i}.ln1", x), attn, capture)

@@ -14,6 +14,7 @@ from .attention import WindowSpec
 from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
 from .convert import TransferObjective, run_attention_transfer, run_base_training, run_finetune
+from .errors import HafxError
 from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, evaluate_task
 from .model import AttnSettings, init_model
 from .tasks import gen_task, merge_datasets
@@ -35,13 +36,29 @@ def write_csv(path, header, rows):
     return path
 
 
+def _read_stages(path):
+    """The records of the JSON-lines stage file at `path`, [] if there is
+    none. A line that is not a JSON object with a string `stage` raises a
+    HafxError naming the file and the line."""
+    if not os.path.exists(path):
+        return []
+    records = []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                record = json.loads(line)
+            except ValueError:  # not JSON, or not UTF-8
+                record = None
+            if not (isinstance(record, dict) and isinstance(record.get("stage"), str)):
+                raise HafxError(f"{path} line {n}: not a stage record")
+            records.append(record)
+    return records
+
+
 def record_stage(path, record):
     """Store a stage's record in the JSON-lines file at `path`, which holds
     one record per stage: a rerun replaces that stage's earlier record."""
-    records = []
-    if os.path.exists(path):
-        with open(path) as f:
-            records = [json.loads(line) for line in f]
+    records = _read_stages(path)
     stages = [r["stage"] for r in records]
     if record["stage"] in stages:
         records[stages.index(record["stage"])] = record
@@ -89,6 +106,7 @@ def eval_windows(cfg: RunConfig, tasks):
 
 def _prepare_out(cfg: RunConfig):
     out = cfg.output_dir()
+    _read_stages(os.path.join(out, "stages.jsonl"))  # fail before a stage runs, not after
     os.makedirs(out, exist_ok=True)
     with atomic_open(os.path.join(out, "run.cfg"), "w") as f:
         f.write(serialise_config(cfg))

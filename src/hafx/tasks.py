@@ -124,7 +124,7 @@ def _char_example(spec, rng, corpus):
 def gen_task(spec: TaskSpec, split="train"):
     """Deterministic dataset for one split; eval rows never appear in train."""
     rng = SeededRng(spec.seed, f"task/{spec.kind}/{split}")
-    corpus = _char_corpus(spec.vocab)[0] if spec.kind == "char_lm" else None
+    corpus, n_chars = _char_corpus(spec.vocab) if spec.kind == "char_lm" else (None, None)
 
     forbidden = set()
     if split == "train":
@@ -155,7 +155,7 @@ def gen_task(spec: TaskSpec, split="train"):
     elif spec.kind == "copy":
         chance = 1.0 / spec.copy_symbols
     else:
-        chance = 1.0 / _char_corpus(spec.vocab)[1]
+        chance = 1.0 / n_chars
     return {
         "kind": spec.kind,
         "tokens": tokens,

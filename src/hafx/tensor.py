@@ -203,17 +203,6 @@ class Tensor:
 
     # -- shape ops -------------------------------------------------------------
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        x = self
-        old = x.shape
-
-        def bw(g):
-            return (g.reshape(old),)
-
-        return Tensor._op(x.data.reshape(shape), (x,), bw, "reshape")
-
     def swapaxes(self, a, b):
         x = self
 
@@ -221,12 +210,6 @@ class Tensor:
             return (np.swapaxes(g, a, b),)
 
         return Tensor._op(np.swapaxes(x.data, a, b), (x,), bw, "swapaxes")
-
-    @property
-    def T(self):
-        if self.data.ndim != 2:
-            raise ShapeError(".T only defined for 2-D tensors")
-        return self.swapaxes(0, 1)
 
     def __getitem__(self, idx):
         x = self
@@ -387,31 +370,3 @@ def gelu(x):
     c = float(np.sqrt(2.0 / np.pi))
     return x * 0.5 * ((c * (x + 0.044715 * x.pow(3))).tanh() + 1.0)
 
-
-def finite_diff_check(f, x, step=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` maps a Tensor to a scalar Tensor and must be deterministic. Relative
-    error uses |analytic - numeric| / (|numeric| + 1e-8) per element.
-    """
-    if step <= 0:
-        raise ContractError("finite_diff_check requires step > 0")
-    x0 = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    xt = Tensor(x0.copy(), requires_grad=True)
-    out = f(xt)
-    out.backward()
-    analytic = xt.grad.copy() if xt.grad is not None else np.zeros_like(x0)
-
-    numeric = np.zeros_like(x0)
-    flat = x0.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f(Tensor(x0.copy())).data)
-        flat[i] = orig - step
-        fm = float(f(Tensor(x0.copy())).data)
-        flat[i] = orig
-        numeric.reshape(-1)[i] = (fp - fm) / (2.0 * step)
-
-    err = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
-    return float(err.max()) if err.size else 0.0

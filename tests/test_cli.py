@@ -412,3 +412,50 @@ def test_malformed_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys, co
     assert main([command, "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.ckpt: meta block" in err
+
+
+def base_checkpoint(tmp_path):
+    """The criterion-9 config file and an untrained `base.ckpt` for it: a
+    softmax model with no feature maps."""
+    from hafx.checkpoint import save_model
+    from hafx.model import init_model
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9)
+    ckpt = tmp_path / "base" / "base.ckpt"
+    ckpt.parent.mkdir()
+    save_model(str(ckpt), init_model(parse_config(CRITERION9).model_config()), "base")
+    return str(cfg), str(ckpt)
+
+
+@pytest.mark.parametrize("args", [["finetune"], ["eval", "--mode", "la_only"], ["ablate"]],
+                         ids=["finetune", "eval", "ablate"])
+def test_hybrid_command_on_a_base_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys,
+                                                              args):
+    cfg, ckpt = base_checkpoint(tmp_path)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(args + ["--config", cfg, "--ckpt", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "feature maps" in err
+
+
+def test_softmax_eval_of_a_base_checkpoint_runs(tmp_path, monkeypatch, capsys):
+    cfg, ckpt = base_checkpoint(tmp_path)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--softmax"]) == 0
+    assert capsys.readouterr().out.startswith("base assoc_recall: acc=")
+
+
+@pytest.mark.parametrize("line", ["garbage", "[1]", '{"stage": 3}', '{"epoch_losses": []}'])
+def test_bad_stage_record_is_an_error_line_before_training(tmp_path, monkeypatch, capsys,
+                                                           line):
+    cfg, ckpt = base_checkpoint(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    stages = out / "stages.jsonl"
+    stages.write_text('{"stage": "base"}\n' + line + "\n")
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["transfer", "--config", cfg, "--base-ckpt", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{stages} line 2: " in err
+    assert sorted(p.name for p in out.iterdir()) == ["stages.jsonl"]

@@ -25,7 +25,9 @@ from hafx.errors import ConfigError, ContractError
 from hafx.model import Model, ModelConfig, init_model
 from hafx.optim import LR_FLOOR, AdamW, ReduceOnPlateau
 from hafx.rng import SeededRng
-from hafx.tensor import Tensor, finite_diff_check
+from hafx.tensor import Tensor
+
+from .reference import finite_diff_check
 
 TINY = ModelConfig(vocab_size=16, d_model=16, n_layers=1, n_heads=2, max_T=16, mlp_width=32)
 

@@ -15,18 +15,22 @@ from hafx.attention import (
     hybrid_attention,
     linear_attention,
     linear_attention_masked,
-    linear_attention_streaming,
     sinks_attention,
     sliding_window_attention,
     softmax_attention_causal,
-    softmax_attention_full_np,
 )
 from hafx.attention.ops import lagged_mult_mask
 from hafx.errors import ShapeError
+from hafx.evalbench import softmax_attention_full_np
 from hafx.rng import SeededRng
-from hafx.tensor import Tensor, finite_diff_check, row_softmax
+from hafx.tensor import Tensor, row_softmax
 
-from .reference import causal_mult_mask, linear_attention_quadratic_oracle
+from .reference import (
+    causal_mult_mask,
+    finite_diff_check,
+    linear_attention_np,
+    linear_attention_quadratic_oracle,
+)
 
 
 def brute_force_masked_softmax(q, k, v, allowed):
@@ -202,7 +206,7 @@ def test_feature_map_none_warns():
 def test_linear_attention_single_token():
     v = SeededRng(3, "v").normal((1, 5))
     phi = np.abs(SeededRng(3, "p").normal((1, 6))) + 0.1
-    out, guards = linear_attention_streaming(phi, phi, v)
+    out, guards = linear_attention_np(phi, phi, v)
     np.testing.assert_allclose(out, v, atol=1e-12)
     assert guards == 0
 
@@ -211,7 +215,7 @@ def test_linear_attention_uniform_features_running_mean():
     T = 6
     v = SeededRng(5, "v").normal((T, 3))
     ones = np.ones((T, 4))
-    out, _ = linear_attention_streaming(ones, ones, v)
+    out, _ = linear_attention_np(ones, ones, v)
     for t in range(T):
         np.testing.assert_allclose(out[t], v[: t + 1].mean(axis=0), atol=1e-12)
     oracle = linear_attention_quadratic_oracle(ones, ones, v)
@@ -228,7 +232,7 @@ def test_streaming_matches_quadratic_oracle_100_cases(d_prime):
         phi_q = np.abs(rng.normal((T, 2 * d_prime))) + 1e-3
         phi_k = np.abs(rng.normal((T, 2 * d_prime))) + 1e-3
         v = rng.normal((T, d_v))
-        stream, _ = linear_attention_streaming(phi_q, phi_k, v)
+        stream, _ = linear_attention_np(phi_q, phi_k, v)
         quad = linear_attention_quadratic_oracle(phi_q, phi_k, v)
         worst = max(worst, float(np.abs(stream - quad).max()))
     assert worst < 1e-10
@@ -263,7 +267,7 @@ def test_denominator_guard_counts():
     out = linear_attention(Tensor(zeros), Tensor(zeros), Tensor(v), clamps=clamps)
     assert clamps == [3]
     np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
-    stream, guards = linear_attention_streaming(zeros, zeros, v)
+    stream, guards = linear_attention_np(zeros, zeros, v)
     assert guards == 3
 
 
@@ -311,7 +315,7 @@ def test_linear_attention_matches_quadratic_oracle_across_chunks():
         phi_q = np.abs(rng.normal((T, 8))) + 1e-3
         phi_k = np.abs(rng.normal((T, 8))) + 1e-3
         v = rng.normal((T, int(rng.integers(1, 9))))
-        stream, _ = linear_attention_streaming(phi_q, phi_k, v)
+        stream, _ = linear_attention_np(phi_q, phi_k, v)
         quad = linear_attention_quadratic_oracle(phi_q, phi_k, v)
         worst = max(worst, float(np.abs(stream - quad).max()))
     assert worst < 1e-10

@@ -9,12 +9,13 @@ from hafx.tensor import (
     Tensor,
     concat,
     embedding,
-    finite_diff_check,
     gelu,
     logsumexp,
     row_softmax,
     take_along_last,
 )
+
+from .reference import finite_diff_check
 
 
 def test_matmul_identity():
@@ -147,7 +148,6 @@ def test_finite_diff_rejects_bad_step():
         ("clamp", lambda t: (t.clamp_min(0.3) * t).sum()),
         ("getitem", lambda t: (t[1:, :2] * 2.0).sum()),
         ("swapaxes", lambda t: (t.swapaxes(0, 1) @ Tensor(np.ones((3, 2)))).sum()),
-        ("reshape", lambda t: (t.reshape(12) * Tensor(np.arange(12.0))).sum()),
         ("logsumexp", lambda t: logsumexp(t, axis=-1).sum()),
         ("matmul", lambda t: (t @ Tensor(np.ones((4, 2)))).pow(2).sum()),
         ("concat", lambda t: (concat([t, t * 2.0], axis=-1)).pow(2).mean()),
@@ -185,7 +185,7 @@ def test_determinism_same_seed_bitwise():
     def run():
         rng = SeededRng(123, "det")
         x = Tensor(rng.normal((4, 4)), requires_grad=True)
-        y = row_softmax(x @ x.T).sum()
+        y = row_softmax(x @ x.swapaxes(0, 1)).sum()
         y.backward()
         return y.data.copy(), x.grad.copy()
 
