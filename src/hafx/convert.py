@@ -150,11 +150,12 @@ def _epoch(opt, batches, accumulation, step_attn, loss_fn):
 
     The guard count is the number of LA denominators the epoch's steps
     clamped: each step's `attn` carries the epoch's list of clamp counts.
-    Each step's graph stays alive until the next step's first micro-batch
-    loss replaces it, and the last one is released when this frame returns,
-    before the held-out eval runs. Both matter: keeping the last graph
-    through the eval raises peak memory, and freeing each graph before the
-    next forward slows the steps.
+    Each step's graph keeps its forward arrays alive until the next step's
+    first micro-batch loss replaces it (`backward` has already freed its
+    interior gradients), and the last one is released when this frame
+    returns, before the held-out eval runs. Both matter: keeping the last
+    graph through the eval raises peak memory, and freeing each graph before
+    the next forward slows the steps.
     """
     losses, clamps = [], []
     for s in range(0, len(batches), accumulation):
@@ -260,12 +261,14 @@ def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,
 
 
 def evaluate_lm(model, data, attn, batch_size=32):
-    """Held-out mean LM loss of a dataset dict (no gradients)."""
+    """Held-out mean LM loss of a dataset dict (no gradients: the forwards
+    run under `Model.no_grad`, so they build no autodiff tape)."""
     total, count = 0.0, 0
-    for idx in _batches(len(data["tokens"]), batch_size):
-        loss = _lm_batch_loss(model, data, idx, attn)
-        total += float(loss.data) * len(idx)
-        count += len(idx)
+    with model.no_grad():
+        for idx in _batches(len(data["tokens"]), batch_size):
+            loss = _lm_batch_loss(model, data, idx, attn)
+            total += float(loss.data) * len(idx)
+            count += len(idx)
     return total / count
 
 

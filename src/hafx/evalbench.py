@@ -35,20 +35,22 @@ def evaluate_task(model, data, attn: AttnSettings, batch_size=32):
 
     Each batch's loss is weighted by its row count; every row of a task has
     the same number of scored positions, so this is the exact mean over
-    scored positions whatever the size of the last batch.
+    scored positions whatever the size of the last batch. The forwards run
+    under `Model.no_grad` and build no autodiff tape.
     """
     correct, scored = 0, 0
     total_loss = 0.0
     tokens, targets = data["tokens"], data["targets"]
     acc_mask, loss_mask = data["acc_mask"], data["loss_mask"]
-    for start in range(0, len(tokens), batch_size):
-        idx = slice(start, start + batch_size)
-        logits = model.forward_logits(tokens[idx], attn)
-        pred = logits.data.argmax(axis=-1)
-        m = acc_mask[idx]
-        correct += int((pred[m] == targets[idx][m]).sum())
-        scored += int(m.sum())
-        total_loss += float(lm_loss(logits, targets[idx], loss_mask[idx]).data) * len(m)
+    with model.no_grad():
+        for start in range(0, len(tokens), batch_size):
+            idx = slice(start, start + batch_size)
+            logits = model.forward_logits(tokens[idx], attn)
+            pred = logits.data.argmax(axis=-1)
+            m = acc_mask[idx]
+            correct += int((pred[m] == targets[idx][m]).sum())
+            scored += int(m.sum())
+            total_loss += float(lm_loss(logits, targets[idx], loss_mask[idx]).data) * len(m)
     return correct / scored, total_loss / len(tokens), scored
 
 

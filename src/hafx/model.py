@@ -8,6 +8,7 @@ attention projections; feature maps (one per layer per head) are attached
 for conversion.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,19 @@ class Model:
 
     def trainable_parameters(self):
         return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
+
+    @contextmanager
+    def no_grad(self):
+        """Freeze every parameter for the body, so its forwards build no
+        autodiff tape; each requires_grad flag is restored on exit."""
+        saved = [(p, p.requires_grad) for p in self.named_parameters().values()]
+        try:
+            for p, _flag in saved:
+                p.requires_grad = False
+            yield
+        finally:
+            for p, flag in saved:
+                p.requires_grad = flag
 
     # -- forward ---------------------------------------------------------------
 

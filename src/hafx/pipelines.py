@@ -14,7 +14,7 @@ from .attention import WindowSpec
 from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
 from .convert import TransferObjective, run_attention_transfer, run_base_training, run_finetune
-from .errors import HafxError
+from .errors import ContractError, HafxError
 from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, evaluate_task
 from .model import AttnSettings, init_model
 from .tasks import gen_task, merge_datasets
@@ -68,14 +68,17 @@ def record_stage(path, record):
         f.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-def _merged_split(cfg: RunConfig, specs, split):
-    return merge_datasets([gen_task(s, split) for s in specs], seed=cfg["seed"])
+def _merged_splits(cfg: RunConfig, specs):
+    """Merged train and eval splits of `specs`. Each eval split is generated
+    once and is also the set of rows its train split excludes."""
+    evals = [gen_task(s, "eval") for s in specs]
+    trains = [gen_task(s, "train", ev) for s, ev in zip(specs, evals)]
+    return merge_datasets(trains, seed=cfg["seed"]), merge_datasets(evals, seed=cfg["seed"])
 
 
 def build_datasets(cfg: RunConfig):
     """Merged train/eval splits of the base-training tasks (`task.kinds`)."""
-    specs = cfg.task_specs()
-    return _merged_split(cfg, specs, "train"), _merged_split(cfg, specs, "eval")
+    return _merged_splits(cfg, cfg.task_specs())
 
 
 def eval_datasets(cfg: RunConfig):
@@ -88,8 +91,7 @@ def conversion_datasets(cfg: RunConfig):
     and LoRA fine-tuning). `task.transfer_kinds` selects the source tasks —
     the desk-scale analogue of converting on generic text rather than on the
     evaluation benchmarks."""
-    specs = cfg.transfer_specs()
-    return _merged_split(cfg, specs, "train"), _merged_split(cfg, specs, "eval")
+    return _merged_splits(cfg, cfg.transfer_specs())
 
 
 def eval_windows(cfg: RunConfig, tasks):
@@ -142,8 +144,9 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
     if model.phi is None:
         model.attach_feature_maps(cfg.d_prime(), cfg.activation())
-    # attention transfer has no held-out eval, so only the train split is built
-    conv_train = _merged_split(cfg, cfg.transfer_specs(), "train")
+    # attention transfer has no held-out eval; the eval split is built only
+    # because the train split excludes its rows
+    conv_train, _conv_eval = conversion_datasets(cfg)
     report = run_attention_transfer(
         model,
         objective or cfg.objective(),
@@ -162,6 +165,9 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=N
     dropout and an early stop (`convert.run_finetune`); checkpoints every
     epoch and the final model."""
     model, _stage = load_model(ckpt)
+    if model.phi is None:
+        raise ContractError(f"{ckpt} has no feature maps; fine-tuning starts from a "
+                            "post-transfer checkpoint")
     out = _prepare_out(cfg)
     if model.lora is None:
         model.lora_attach(

@@ -121,14 +121,19 @@ def _char_example(spec, rng, corpus):
     return window[:-1].copy(), window[1:].copy(), mask, mask.astype(bool)
 
 
-def gen_task(spec: TaskSpec, split="train"):
-    """Deterministic dataset for one split; eval rows never appear in train."""
+def gen_task(spec: TaskSpec, split="train", eval_set=None):
+    """Deterministic dataset for one split; eval rows never appear in train.
+
+    A train split rejects the rows of `eval_set`, the spec's eval split,
+    which is generated here when not given.
+    """
     rng = SeededRng(spec.seed, f"task/{spec.kind}/{split}")
     corpus, n_chars = _char_corpus(spec.vocab) if spec.kind == "char_lm" else (None, None)
 
     forbidden = set()
     if split == "train":
-        eval_set = gen_task(spec, split="eval")
+        if eval_set is None:
+            eval_set = gen_task(spec, split="eval")
         forbidden = {row.tobytes() for row in eval_set["tokens"]}
 
     n = spec.n_examples if split == "train" else max(32, spec.n_examples // 4)

@@ -246,25 +246,29 @@ class Tensor:
     # -- backward ----------------------------------------------------------------
 
     def backward(self):
-        """Reverse sweep from a scalar loss; accumulates .grad on the graph."""
+        """Reverse sweep from a scalar loss; accumulates .grad on the leaves
+        across sweeps (explicit gradient accumulation). An interior node
+        keeps the first gradient that reaches it and adds later ones out of
+        place, as a backward rule may hand one array to several parents; its
+        .grad is freed (set to None) once its own backward has run."""
         if self.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
         order = _topo_order(self)
-        # Interior nodes get fresh grads per sweep; leaf parameters
-        # accumulate across sweeps (explicit gradient accumulation).
-        for node in order:
-            if node._backward_fn is not None:
-                node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward_fn is None:
                 continue
             grads = node._backward_fn(node.grad)
+            node.grad = None
             for parent, g in zip(node._parents, grads):
-                if parent.requires_grad and g is not None:
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
-                    parent.grad += g
+                if not parent.requires_grad or g is None:
+                    continue
+                if parent._backward_fn is not None:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+                    continue
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g
 
 
 def _topo_order(root):

@@ -1,11 +1,11 @@
-"""Test-only reference forms the fast kernels are held to, and the
-finite-difference gradient check."""
+"""Test-only reference forms the fast kernels and the backward sweep are
+held to, and the finite-difference gradient check."""
 
 import numpy as np
 
 from hafx.attention import LA_EPS, linear_attention
 from hafx.errors import ContractError
-from hafx.tensor import Tensor
+from hafx.tensor import Tensor, _topo_order
 
 
 def causal_mult_mask(T):
@@ -60,3 +60,23 @@ def finite_diff_check(f, x, step=1e-5):
 
     err = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
     return float(err.max()) if err.size else 0.0
+
+
+def backward_zero_fill(loss):
+    """`Tensor.backward` with a zero-filled gradient on every interior node,
+    which each incoming gradient is added into in place and which outlives
+    the sweep."""
+    order = _topo_order(loss)
+    for node in order:
+        if node._backward_fn is not None:
+            node.grad = np.zeros_like(node.data)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward_fn is None:
+            continue
+        grads = node._backward_fn(node.grad)
+        for parent, g in zip(node._parents, grads):
+            if parent.requires_grad and g is not None:
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g

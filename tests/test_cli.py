@@ -89,6 +89,30 @@ def test_builders():
     assert parse_config("").ssd() is None
 
 
+def test_merged_builds_generate_each_split_once(monkeypatch):
+    import hafx.pipelines
+    import hafx.tasks
+    from hafx.pipelines import build_datasets, conversion_datasets
+
+    calls = []
+    gen_task = hafx.tasks.gen_task
+
+    def counted(spec, split="train", *a, **k):
+        calls.append((spec.kind, split))
+        return gen_task(spec, split, *a, **k)
+
+    monkeypatch.setattr(hafx.tasks, "gen_task", counted)
+    monkeypatch.setattr(hafx.pipelines, "gen_task", counted)
+    cfg = parse_config(CRITERION9 + "task.kinds = assoc_recall,copy\n"
+                       "task.transfer_kinds = copy\nmodel.vocab_size = 64\n")
+    build_datasets(cfg)
+    assert sorted(calls) == [("assoc_recall", "eval"), ("assoc_recall", "train"),
+                             ("copy", "eval"), ("copy", "train")]
+    calls.clear()
+    conversion_datasets(cfg)
+    assert sorted(calls) == [("copy", "eval"), ("copy", "train")]
+
+
 def test_output_dir_env_override(monkeypatch):
     cfg = parse_config("output_dir = somewhere\n")
     assert cfg.output_dir() == "somewhere"
@@ -437,6 +461,16 @@ def test_hybrid_command_on_a_base_checkpoint_is_an_error_line(tmp_path, monkeypa
     assert main(args + ["--config", cfg, "--ckpt", ckpt]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "feature maps" in err
+
+
+def test_finetune_refuses_a_base_checkpoint_before_any_set_up(tmp_path, monkeypatch, capsys):
+    cfg, ckpt = base_checkpoint(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["finetune", "--config", cfg, "--ckpt", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (out / "run.cfg").exists()
 
 
 def test_softmax_eval_of_a_base_checkpoint_runs(tmp_path, monkeypatch, capsys):

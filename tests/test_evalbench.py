@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from hafx.attention import AblationMode, HybridSpec, WindowSpec
-from hafx.errors import ConfigError, ContractError
+from hafx.convert import evaluate_lm
+from hafx.errors import ConfigError, ContractError, InputError
 from hafx.evalbench import (
     ALL_MODES,
     BenchReport,
@@ -12,8 +15,9 @@ from hafx.evalbench import (
     evaluate_task,
     recovered_performance,
 )
-from hafx.model import AttnSettings, ModelConfig, init_model, lm_loss
+from hafx.model import AttnSettings, Model, ModelConfig, init_model, lm_loss
 from hafx.tasks import CHAR_OFFSET, MARKER, TaskSpec, gen_task, merge_datasets
+from hafx.tensor import Tensor
 
 TINY = ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2, max_T=32, mlp_width=32)
 
@@ -71,6 +75,10 @@ def test_train_eval_disjoint():
     ev = gen_task(spec, "eval")
     eval_rows = {row.tobytes() for row in ev["tokens"]}
     assert not any(row.tobytes() in eval_rows for row in train["tokens"])
+    # handing the eval split in gives the same train split
+    given = gen_task(spec, "train", ev)
+    assert all(given[key].tobytes() == train[key].tobytes()
+               for key in ("tokens", "targets", "loss_mask", "acc_mask"))
 
 
 def test_task_validation():
@@ -144,6 +152,43 @@ def test_evaluate_task_loss_is_mean_over_scored_positions():
     direct = lm_loss(model.forward_logits(data["tokens"], attn), data["targets"],
                      data["loss_mask"])
     assert abs(loss - float(direct.data)) < 1e-12
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_lm, evaluate_task])
+def test_evals_build_no_tape_and_restore_every_flag(eval_setup, monkeypatch, evaluate):
+    """The evals' results are bit-equal to the same forwards run taped with
+    the parameters trainable; no op inside them tapes; every requires_grad
+    flag is restored on return and on a forward that raises."""
+    model, tasks = eval_setup
+    model.lora_attach(rank=2)
+    model.set_trainable(lambda n: ".lora_" in n)
+    flags = {n: p.requires_grad for n, p in model.named_parameters().items()}
+    data = tasks["copy"]
+    attn = AttnSettings("hybrid", AblationMode.FULL_HYBRID, WindowSpec(4), HybridSpec(0.5))
+
+    taped = []
+    op = Tensor._op
+
+    def counted(*a):
+        out = op(*a)
+        taped.append(out._backward_fn is not None)
+        return out
+
+    monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
+    with monkeypatch.context() as m:
+        m.setattr(Model, "no_grad", lambda self: contextlib.nullcontext())
+        expected = evaluate(model, data, attn, batch_size=3)
+    assert any(taped)
+    taped.clear()
+    assert evaluate(model, data, attn, batch_size=3) == expected
+    assert taped and not any(taped)
+    assert {n: p.requires_grad for n, p in model.named_parameters().items()} == flags
+
+    bad = dict(data, tokens=data["tokens"].copy())
+    bad["tokens"][-1, 0] = TINY.vocab_size
+    with pytest.raises(InputError):
+        evaluate(model, bad, attn, batch_size=3)
+    assert {n: p.requires_grad for n, p in model.named_parameters().items()} == flags
 
 
 def test_evaluate_ablations_row_schema(eval_setup):

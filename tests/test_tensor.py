@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hafx.attention import AblationMode, HybridSpec, WindowSpec
 from hafx.errors import ContractError, NonFiniteError, ShapeError
+from hafx.model import AttnSettings, ModelConfig, init_model, lm_loss
 from hafx.rng import SeededRng
 from hafx.tensor import (
     Tensor,
+    _topo_order,
     concat,
     embedding,
     gelu,
@@ -15,7 +18,7 @@ from hafx.tensor import (
     take_along_last,
 )
 
-from .reference import finite_diff_check
+from .reference import backward_zero_fill, finite_diff_check
 
 
 def test_matmul_identity():
@@ -199,6 +202,45 @@ def test_gradient_accumulation_across_backwards():
     (w * 1.0).sum().backward()
     (w * 2.0).sum().backward()
     np.testing.assert_array_equal(w.grad, 3.0 * np.ones((2, 2)))
+
+
+ORACLE_CFG = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, max_T=160,
+                         mlp_width=32)
+
+
+@pytest.mark.parametrize("T", [32, 150])  # 150 crosses LA_CHUNK
+@pytest.mark.parametrize("mode", [None, *AblationMode], ids=lambda m: getattr(m, "value", m))
+def test_backward_matches_the_zero_fill_sweep(T, mode):
+    """Every leaf gradient of a LoRA-attached model's `lm_loss` is
+    bit-identical to the zero-fill sweep's, and the sweep frees every
+    interior gradient."""
+    model = init_model(ORACLE_CFG)
+    model.attach_feature_maps(4)
+    model.lora_attach(rank=2)
+    rng = SeededRng(T, "oracle")
+    for ad in model.lora.values():  # B off zero, so A's gradient is not 0
+        ad.b.data = rng.child("lora_b").normal(ad.b.shape, std=0.1)
+    attn = (AttnSettings("softmax") if mode is None
+            else AttnSettings("hybrid", mode, WindowSpec(8, 2), HybridSpec(0.5)))
+    toks = rng.child("tokens").integers(0, ORACLE_CFG.vocab_size, (2, T + 1))
+    params = model.named_parameters()
+
+    def sweep(backward):
+        for p in params.values():
+            p.grad = None
+        loss = lm_loss(model.forward_logits(toks[:, :-1], attn), toks[:, 1:])
+        backward(loss)
+        grads = {n: p.grad for n, p in params.items() if p.grad is not None}
+        return loss, grads
+
+    loss, ours = sweep(Tensor.backward)
+    _, ref = sweep(backward_zero_fill)
+    assert ours.keys() == ref.keys() and any(".lora_a" in n for n in ours)
+    for name, g in ours.items():
+        assert g.dtype == ref[name].dtype and g.shape == ref[name].shape, name
+        assert g.tobytes() == ref[name].tobytes(), name
+    interior = [node for node in _topo_order(loss) if node._backward_fn is not None]
+    assert interior and all(node.grad is None for node in interior)
 
 
 @given(st.integers(0, 2**32 - 1))
