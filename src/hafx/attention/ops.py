@@ -1,6 +1,6 @@
 """Differentiable attention kernels: causal softmax, sliding-window softmax,
-attention sinks, feature-mapped linear attention, RoPE, and the hybrid
-combiner with its ablation modes.
+attention sinks, linear attention over Hedgehog's softmax feature map, RoPE,
+and the hybrid combiner with its ablation modes.
 
 All kernels take tensors shaped (..., T, d) and are pure functions, so
 batched/multi-head evaluation is just broadcasting. The model's kernels run
@@ -11,7 +11,6 @@ it is held to.
 """
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,9 @@ LA_CHUNK = 64  # queries per chunk of every attention kernel
 
 
 class Activation(enum.Enum):
+    """The feature map's name in checkpoint meta and `attn.activation`."""
+
     SOFTMAX = "softmax"
-    EXPONENTIAL = "exponential"
-    RELU = "relu"
-    ONE_PLUS_ELU = "one_plus_elu"
-    NONE = "none"
 
 
 class AblationMode(enum.Enum):
@@ -43,11 +40,10 @@ class AblationMode(enum.Enum):
 
 @dataclass
 class FeatureMapParams:
-    """Learnable map producing non-negative features of width 2*d_prime."""
+    """Learnable Hedgehog map: non-negative features of width 2*d_prime."""
 
     w: Tensor  # (h_d, d_prime)
     b: Tensor  # (d_prime,)
-    activation: Activation = Activation.SOFTMAX
 
 
 @dataclass
@@ -162,27 +158,10 @@ def sinks_attention(q, k, v, sink_count):
 
 
 def feature_map_apply(params, x):
-    """phi(x) = sigma(W^T x + b) ++ sigma(-W^T x - b), width 2*d_prime."""
+    """Hedgehog's phi(x) = softmax(W^T x + b) ++ softmax(-W^T x - b), each
+    softmax over its d_prime features; width 2*d_prime."""
     z = x @ params.w + params.b
-    act = params.activation
-    if act is Activation.SOFTMAX:
-        pos, neg = row_softmax(z), row_softmax(-z)
-    elif act is Activation.EXPONENTIAL:
-        pos, neg = z.exp(), (-z).exp()
-    elif act is Activation.RELU:
-        pos, neg = z.relu(), (-z).relu()
-    elif act is Activation.ONE_PLUS_ELU:
-        pos, neg = z.elu() + 1.0, (-z).elu() + 1.0
-    elif act is Activation.NONE:
-        warnings.warn(
-            "feature map without activation can emit negative features",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        pos, neg = z, -z
-    else:  # pragma: no cover
-        raise ValueError(f"unknown activation {act}")
-    return concat([pos, neg], axis=-1)
+    return concat([row_softmax(z), row_softmax(-z)], axis=-1)
 
 
 def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS, clamps=None):

@@ -131,9 +131,6 @@ class RunConfig:
         dp = self.values["attn.d_prime"]
         return dp if dp else self.model_config().h_d // 2
 
-    def activation(self):
-        return Activation(self.values["attn.activation"])
-
     def window(self):
         return WindowSpec(self.values["attn.window"], self.values["attn.sinks"])
 

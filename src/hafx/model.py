@@ -186,7 +186,8 @@ class Model:
     # -- feature maps / LoRA ----------------------------------------------------
 
     def attach_feature_maps(self, d_prime, activation=Activation.SOFTMAX, rng=None, noise_std=0.1):
-        """One map per (layer, head): W = truncated identity + Gaussian noise."""
+        """One map per (layer, head): W = truncated identity + Gaussian noise.
+        `activation` only names the map in `phi_meta`."""
         if self.phi is not None:
             raise ContractError("feature maps already attached")
         cfg = self.cfg
@@ -199,7 +200,7 @@ class Model:
                 noise = rng.child(f"phi/{i}/{h}").normal((cfg.h_d, d_prime), std=noise_std)
                 w = Tensor(base + noise, requires_grad=True)
                 b = Tensor(np.zeros(d_prime), requires_grad=True)
-                heads.append(FeatureMapParams(w=w, b=b, activation=activation))
+                heads.append(FeatureMapParams(w=w, b=b))
             self.phi.append(heads)
         self.phi_meta = (d_prime, activation)
         return self

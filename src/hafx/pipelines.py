@@ -143,7 +143,7 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     out = _prepare_out(cfg)
     model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
     if model.phi is None:
-        model.attach_feature_maps(cfg.d_prime(), cfg.activation())
+        model.attach_feature_maps(cfg.d_prime())
     # attention transfer has no held-out eval; the eval split is built only
     # because the train split excludes its rows
     conv_train, _conv_eval = conversion_datasets(cfg)

@@ -129,6 +129,9 @@ def gen_task(spec: TaskSpec, split="train", eval_set=None):
     """
     rng = SeededRng(spec.seed, f"task/{spec.kind}/{split}")
     corpus, n_chars = _char_corpus(spec.vocab) if spec.kind == "char_lm" else (None, None)
+    if corpus is not None and spec.T > len(corpus) - 2:  # starts are drawn from [0, len - T - 1)
+        raise ConfigError(f"task.T = {spec.T} does not fit the {len(corpus)}-character "
+                          f"char-LM corpus (at most {len(corpus) - 2})")
 
     forbidden = set()
     if split == "train":

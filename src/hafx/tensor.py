@@ -148,15 +148,6 @@ class Tensor:
 
     # -- elementwise nonlinearities -------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        x = self
-
-        def bw(g):
-            return (g * out_data,)
-
-        return Tensor._op(out_data, (x,), bw, "exp")
-
     def log(self):
         x = self
 
@@ -173,24 +164,6 @@ class Tensor:
             return (g * (1.0 - out_data * out_data),)
 
         return Tensor._op(out_data, (x,), bw, "tanh")
-
-    def relu(self):
-        x = self
-
-        def bw(g):
-            return (g * (x.data > 0),)
-
-        return Tensor._op(np.maximum(x.data, 0.0), (x,), bw, "relu")
-
-    def elu(self):
-        x = self
-        neg = np.expm1(np.minimum(x.data, 0.0))
-        out_data = np.where(x.data > 0, x.data, neg)
-
-        def bw(g):
-            return (g * np.where(x.data > 0, 1.0, neg + 1.0),)
-
-        return Tensor._op(out_data, (x,), bw, "elu")
 
     def clamp_min(self, lo):
         x = self
@@ -235,12 +208,7 @@ class Tensor:
         return Tensor._op(x.data.sum(axis=axis, keepdims=keepdims), (x,), bw, "sum")
 
     def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.shape[a] for a in axis]))
-        else:
-            n = self.shape[axis]
+        n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- backward ----------------------------------------------------------------

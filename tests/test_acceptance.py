@@ -12,7 +12,6 @@ import pytest
 
 from hafx.attention import (
     AblationMode,
-    Activation,
     FeatureMapParams,
     HybridSpec,
     WindowSpec,
@@ -93,11 +92,8 @@ def _op_cases():
         ("matmul", lambda t: (t @ Tensor(np.ones((4, 2)))).pow(2).sum()),
         ("pow", lambda t: (t * t + 0.5).pow(1.5).sum()),
         ("sqrt", lambda t: (t * t + 0.5).sqrt().sum()),
-        ("exp", lambda t: t.exp().sum()),
         ("log", lambda t: (t * t + 1.0).log().sum()),
         ("tanh", lambda t: t.tanh().sum()),
-        ("relu", lambda t: (t + 0.3).relu().sum()),
-        ("elu", lambda t: (t + 0.3).elu().sum()),
         ("clamp_min", lambda t: (t.clamp_min(0.3) * t).sum()),
         ("swapaxes", lambda t: (t.swapaxes(0, 1) @ Tensor(np.ones((3, 2)))).sum()),
         ("getitem", lambda t: (t[1:, :2] * 2.0).sum()),
@@ -119,7 +115,7 @@ def _transfer_cases():
 
     def make(objective):
         def f(w):
-            phi = FeatureMapParams(w, b, Activation.SOFTMAX)
+            phi = FeatureMapParams(w, b)
             return transfer_loss(objective, q, k, v, phi, WindowSpec(2), HybridSpec(0.5))
 
         return f
@@ -160,7 +156,6 @@ def test_criterion_3_branch_algebra():
     phi = FeatureMapParams(
         Tensor(np.eye(d, 4) + rng.normal((d, 4), std=0.1)),
         Tensor(np.zeros(4)),
-        Activation.SOFTMAX,
     )
     win, hy = WindowSpec(8, sink_count=4), HybridSpec(0.5)
     full = hybrid_attention(q, k, v, phi, win, hy, AblationMode.FULL_HYBRID)
@@ -209,8 +204,7 @@ def test_criterion_4_schedule_semantics():
     v = Tensor(rng.normal((16, 8)), requires_grad=True)
     phi = FeatureMapParams(Tensor(np.eye(8, 4) + rng.normal((8, 4), std=0.1),
                                   requires_grad=True),
-                           Tensor(np.zeros(4), requires_grad=True),
-                           Activation.SOFTMAX)
+                           Tensor(np.zeros(4), requires_grad=True))
     win, hy = WindowSpec(4), HybridSpec(0.5)
     out = hybrid_attention(q, k, v, phi, win, hy, AblationMode.LA_ONLY)
     (out * out).sum().backward()

@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 
-from hafx.attention import Activation
 from hafx.cli import main
 from hafx.config import SCHEMA, RunConfig, load_config, parse_config, serialise_config
 from hafx.convert import TransferObjective
@@ -57,6 +56,13 @@ def test_out_of_range_g_names_the_key():
     assert "attn.g" in str(e.value) and e.value.line == 1
 
 
+def test_feature_map_other_than_softmax_names_its_line():
+    assert parse_config("attn.activation = softmax\n")["attn.activation"] == "softmax"
+    with pytest.raises(ConfigError) as e:
+        parse_config("seed = 1\nattn.activation = relu\n")
+    assert "attn.activation" in str(e.value) and e.value.line == 2
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError) as e:
         parse_config("just some words\n")
@@ -78,12 +84,11 @@ def test_serialise_round_trip():
 
 def test_builders():
     cfg = parse_config(
-        "model.d_model = 32\nmodel.n_heads = 2\nattn.activation = relu\n"
+        "model.d_model = 32\nmodel.n_heads = 2\n"
         "objective = weights_ce\nssd.dropout = 0.5\n"
     )
     assert cfg.model_config().h_d == 16
     assert cfg.d_prime() == 8  # h_d / 2 default
-    assert cfg.activation() is Activation.RELU
     assert cfg.objective() is TransferObjective.WEIGHTS_CE
     assert cfg.ssd().window_per_epoch == [64]
     assert parse_config("").ssd() is None
@@ -478,6 +483,23 @@ def test_softmax_eval_of_a_base_checkpoint_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
     assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--softmax"]) == 0
     assert capsys.readouterr().out.startswith("base assoc_recall: acc=")
+
+
+def test_char_lm_task_longer_than_its_corpus_is_an_error_line(tmp_path, monkeypatch, capsys):
+    """The packaged corpus holds 2,478 characters and a row reads T + 1 of
+    them, so T = 2,476 is the longest char-LM task."""
+    from hafx.pipelines import eval_datasets
+
+    char_lm = CRITERION9 + "model.vocab_size = 64\ntask.kinds = char_lm\n"
+    evals = eval_datasets(parse_config(char_lm + "task.T = 2476\n"))
+    assert evals["char_lm"]["tokens"].shape == (32, 2476)
+    cfg, ckpt = base_checkpoint(tmp_path)
+    with open(cfg, "w") as f:
+        f.write(char_lm + "task.T = 2477\n")
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--softmax"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task.T = 2477 ") and "2478-character" in err
 
 
 @pytest.mark.parametrize("line", ["garbage", "[1]", '{"stage": 3}', '{"epoch_losses": []}'])

@@ -5,7 +5,6 @@ import pytest
 
 from hafx.attention import (
     AblationMode,
-    Activation,
     FeatureMapParams,
     HybridSpec,
     WindowSpec,
@@ -48,7 +47,6 @@ def make_phi(seed=0, d_prime=4, trainable=True):
         w=Tensor(np.eye(8, d_prime) + rng.normal((8, d_prime), std=0.1),
                  requires_grad=trainable),
         b=Tensor(np.zeros(d_prime), requires_grad=trainable),
-        activation=Activation.SOFTMAX,
     )
 
 
@@ -173,7 +171,7 @@ def test_transfer_loss_gradients_vs_finite_diff(objective):
     b = Tensor(np.zeros(4))
 
     def f(w):
-        phi = FeatureMapParams(w, b, Activation.SOFTMAX)
+        phi = FeatureMapParams(w, b)
         return transfer_loss(objective, q, k, v, phi, WindowSpec(3), HybridSpec(0.5))
 
     w0 = Tensor(np.eye(8, 4) + SeededRng(4, "fd").normal((8, 4), std=0.1))

@@ -2,8 +2,15 @@
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hafx"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hafx"
+PERFBENCH = ROOT / "perfbench"
+# called only from the acceptance suite: criterion 5 merges LoRA into the
+# base weights, criterion 7 reads the scaling benchmark's doubling ratios
+CALLED_ONLY_BY_TESTS = {"Model.lora_merge", "BenchReport.ratios"}
+LOCATION = re.compile(r"hafx(?:\.\w+)*:([\w.]+)")  # perfbench's "module:Class.attr"
 
 
 def unused_imports(source):
@@ -32,3 +39,56 @@ def test_no_module_imports_a_name_it_never_uses():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def definitions(tree, prefix=""):
+    """(qualified name, name) of every function, method and class defined
+    in `tree`, nested ones too; dunders, which Python calls, are left out."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node.name
+            yield from definitions(node, prefix + node.name + ".")
+        else:
+            yield from definitions(node, prefix)
+
+
+def references(tree):
+    """Names that `tree` reads: a bare name, an attribute not taken on
+    `np`, or a part of a "hafx.module:Class.attr" location string."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "np"):
+                refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if match := LOCATION.fullmatch(node.value):
+                refs.update(match.group(1).split("."))
+    return refs
+
+
+def test_definitions_and_references_of_a_module():
+    tree = ast.parse(
+        "class A:\n    def __init__(self): pass\n    def f(self): return np.g()\n"
+        "def g(): return A().f\n"
+        "def h():\n    def inner(): pass\n    return 'hafx.m:A.k'\n"
+    )
+    assert list(definitions(tree)) == [("A", "A"), ("A.f", "f"), ("g", "g"), ("h", "h"),
+                                       ("h.inner", "inner")]
+    assert references(tree) - {"self"} == {"np", "A", "f", "k"}
+
+
+def test_every_definition_has_a_caller():
+    """Each function, method and class under src/hafx is read somewhere in
+    src/hafx or perfbench/, which imports and wraps it by name."""
+    paths = [*SRC.rglob("*.py"), *PERFBENCH.glob("*.py")]
+    refs = set().union(*(references(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
+    uncalled = [
+        f"{path.relative_to(SRC)}:{qualified}"
+        for path in sorted(SRC.rglob("*.py"))
+        for qualified, name in definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in refs and qualified not in CALLED_ONLY_BY_TESTS
+    ]
+    assert uncalled == []

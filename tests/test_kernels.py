@@ -5,7 +5,6 @@ import pytest
 
 from hafx.attention import (
     AblationMode,
-    Activation,
     FeatureMapParams,
     HybridSpec,
     RoPEParams,
@@ -58,13 +57,12 @@ def rand_qkv(T, d, d_v=None, seed=42):
     )
 
 
-def make_phi(h_d, d_prime, activation=Activation.SOFTMAX, seed=0, trainable=False):
+def make_phi(h_d, d_prime, seed=0, trainable=False):
     rng = SeededRng(seed, "phi")
     return FeatureMapParams(
         w=Tensor(np.eye(h_d, d_prime) + rng.normal((h_d, d_prime), std=0.1),
                  requires_grad=trainable),
         b=Tensor(np.zeros(d_prime), requires_grad=trainable),
-        activation=activation,
     )
 
 
@@ -164,40 +162,19 @@ def test_softmax_attention_empty_sequence():
 # -- feature map ----------------------------------------------------------------
 
 
-def test_feature_map_exp_zero_input():
-    phi = FeatureMapParams(Tensor(np.eye(2)), Tensor(np.zeros(2)), Activation.EXPONENTIAL)
-    out = feature_map_apply(phi, Tensor(np.zeros((1, 2))))
-    np.testing.assert_array_equal(out.data, np.ones((1, 4)))
-
-
-def test_feature_map_relu_sign_split():
-    phi = FeatureMapParams(Tensor(np.eye(2)), Tensor(np.zeros(2)), Activation.RELU)
-    out = feature_map_apply(phi, Tensor([[1.0, -2.0]]))
-    np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0, 2.0]])
-
-
 def test_feature_map_softmax_symmetry():
-    phi = FeatureMapParams(Tensor(np.eye(2)), Tensor(np.zeros(2)), Activation.SOFTMAX)
+    phi = FeatureMapParams(Tensor(np.eye(2)), Tensor(np.zeros(2)))
     out = feature_map_apply(phi, Tensor([[0.0, 0.0]]))
     np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.5, 0.5]])
     np.testing.assert_allclose(out.data[0, :2].sum(), 1.0)
 
 
-@pytest.mark.parametrize(
-    "act", [Activation.SOFTMAX, Activation.EXPONENTIAL, Activation.RELU, Activation.ONE_PLUS_ELU]
-)
-def test_feature_map_non_negative(act):
-    phi = make_phi(6, 3, act, seed=4)
+def test_feature_map_non_negative():
+    phi = make_phi(6, 3, seed=4)
     x = Tensor(SeededRng(4, "fm").normal((10, 6), std=2.0))
     out = feature_map_apply(phi, x)
     assert (out.data >= 0).all()
     assert out.shape == (10, 6)  # 2 * d_prime
-
-
-def test_feature_map_none_warns():
-    phi = make_phi(4, 2, Activation.NONE)
-    with pytest.warns(RuntimeWarning):
-        feature_map_apply(phi, Tensor(np.zeros((2, 4))))
 
 
 # -- linear attention ----------------------------------------------------------
@@ -596,7 +573,7 @@ def test_feature_map_gradient_vs_finite_diff():
     x = Tensor(rng.normal((5, 4)))
 
     def f(w):
-        phi = FeatureMapParams(w, Tensor(np.zeros(2)), Activation.SOFTMAX)
+        phi = FeatureMapParams(w, Tensor(np.zeros(2)))
         out = feature_map_apply(phi, x)
         return (out * out).sum()
 

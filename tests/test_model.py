@@ -330,6 +330,8 @@ def rewrite_meta(path, edit=None, blob=None):
     pytest.param(lambda m: m["config"].update(n_heads=0), None, id="zero-heads"),
     pytest.param(lambda m: m.update(phi={"d_prime": 4, "activation": "cubic"}), None,
                  id="unknown-activation"),
+    pytest.param(lambda m: m.update(phi={"d_prime": 4, "activation": "relu"}), None,
+                 id="removed-activation"),
     pytest.param(lambda m: m.update(lora={"targets": ["wq"], "alpha": 16.0}), None,
                  id="lora-without-rank"),
     pytest.param(lambda m: m.update(stage="released"), None, id="unknown-stage"),

