@@ -164,22 +164,22 @@ def feature_map_apply(params, x):
     return concat([row_softmax(z), row_softmax(-z)], axis=-1)
 
 
-def linear_attention_masked(phi_q, phi_k, v, mult_mask, eps=LA_EPS, clamps=None):
+def linear_attention_masked(phi_q, phi_k, v, mult_mask, clamps=None):
     """Normalised linear attention via a masked (T, T) kernel matrix.
 
     The reference form of `linear_attention`: with `lagged_mult_mask(T, lag)`
     it is the same attention at O(T^2) cost.
-    Denominators below eps are clamped and counted, as in `linear_attention`.
+    Denominators below LA_EPS are clamped and counted, as in `linear_attention`.
     """
     kernel = (phi_q @ phi_k.swapaxes(-1, -2)) * Tensor(mult_mask)
     num = kernel @ v
     den = kernel.sum(axis=-1, keepdims=True)
     if clamps is not None:
-        clamps.append(int(np.count_nonzero(den.data < eps)))
-    return num / den.clamp_min(eps)
+        clamps.append(int(np.count_nonzero(den.data < LA_EPS)))
+    return num / den.clamp_min(LA_EPS)
 
 
-def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS, clamps=None):
+def linear_attention(phi_q, phi_k, v, lag=0, clamps=None):
     """Normalised linear attention where query t sees the keys i <= t - lag.
 
     Queries run in chunks of LA_CHUNK (the chunkwise form of GLA, Yang et
@@ -189,7 +189,7 @@ def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS, clamps=None):
     z = sum phi_k; after each chunk the keys that left the window join the
     state. The cost is O(T (LA_CHUNK + lag)). Up to LA_CHUNK tokens are one
     chunk, which is exactly the masked form `linear_attention_masked`.
-    Denominators below eps are clamped, so a query with no keys gets an
+    Denominators below LA_EPS are clamped, so a query with no keys gets an
     exact 0; when `clamps` is a list, each chunk appends how many it clamped.
     The outputs do not depend on it.
     """
@@ -205,8 +205,8 @@ def linear_attention(phi_q, phi_k, v, lag=0, eps=LA_EPS, clamps=None):
             num = num + q @ S
             den = den + q @ z
         if clamps is not None:
-            clamps.append(int(np.count_nonzero(den.data < eps)))
-        outs.append(num / den.clamp_min(eps))
+            clamps.append(int(np.count_nonzero(den.data < LA_EPS)))
+        outs.append(num / den.clamp_min(LA_EPS))
         hi = max(e - lag, 0)  # where the next chunk's key block starts
         if e < T and hi > lo:
             k_out = _rows(phi_k, lo, hi).swapaxes(-1, -2)

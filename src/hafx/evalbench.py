@@ -139,12 +139,12 @@ def softmax_attention_full_np(q, k, v):
     return np.einsum("ts,sd->td", scores, v)
 
 
-def _time_rounds(fns, reps, min_time=5e-2):
+def _time_rounds(fns, reps):
     """Per-call wall times of each fn over `reps` interleaved rounds.
 
     Each fn gets one warm-up call (caches), then one timed call
     fixes how many calls make up its sample, so that every sample lasts at
-    least `min_time` seconds (the per-sample floor). A round takes one
+    least 50 ms (the per-sample floor). A round takes one
     sample of every fn, with the calls of all fns spread evenly over the
     round, so the samples of one round see the same drift in machine speed.
     Returns, per fn, its `reps` seconds-per-call samples in round order.
@@ -155,7 +155,7 @@ def _time_rounds(fns, reps, min_time=5e-2):
         t0 = time.perf_counter()
         fn()
         once = time.perf_counter() - t0
-        counts.append(max(1, int(np.ceil(min_time / max(once, 1e-9)))))
+        counts.append(max(1, int(np.ceil(0.05 / max(once, 1e-9)))))
     # call j of fn i runs at fraction (j + 1/2) / counts[i] of each round
     schedule = sorted(((j + 0.5) / n, i) for i, n in enumerate(counts) for j in range(n))
     samples = [[] for _ in fns]

@@ -185,13 +185,13 @@ class Model:
 
     # -- feature maps / LoRA ----------------------------------------------------
 
-    def attach_feature_maps(self, d_prime, activation=Activation.SOFTMAX, rng=None, noise_std=0.1):
+    def attach_feature_maps(self, d_prime, activation=Activation.SOFTMAX, noise_std=0.1):
         """One map per (layer, head): W = truncated identity + Gaussian noise.
         `activation` only names the map in `phi_meta`."""
         if self.phi is not None:
             raise ContractError("feature maps already attached")
         cfg = self.cfg
-        rng = rng or SeededRng(cfg.seed, "phi-init")
+        rng = SeededRng(cfg.seed, "phi-init")
         self.phi = []
         for i in range(cfg.n_layers):
             heads = []
@@ -205,14 +205,14 @@ class Model:
         self.phi_meta = (d_prime, activation)
         return self
 
-    def lora_attach(self, targets=LORA_TARGETS, rank=8, alpha=16.0, rng=None):
+    def lora_attach(self, targets=LORA_TARGETS, rank=8, alpha=16.0):
         if self.lora is not None:
             raise ContractError("LoRA adapters already attached")
         bad = set(targets) - set(LORA_TARGETS)
         if bad:
             raise ContractError(f"unknown LoRA targets: {sorted(bad)}")
         cfg = self.cfg
-        rng = rng or SeededRng(cfg.seed, "lora-init")
+        rng = SeededRng(cfg.seed, "lora-init")
         self.lora = {}
         for i in range(cfg.n_layers):
             for tgt in targets:
@@ -238,9 +238,9 @@ class Model:
         return self
 
 
-def init_model(cfg: ModelConfig, rng: SeededRng | None = None) -> Model:
+def init_model(cfg: ModelConfig) -> Model:
     """Deterministic init: embeddings N(0, 0.02), linears N(0, fan_in^-1/2)."""
-    rng = rng or SeededRng(cfg.seed, "model-init")
+    rng = SeededRng(cfg.seed, "model-init")
     params = {}
 
     def lin(name, fan_in, fan_out):

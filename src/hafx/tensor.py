@@ -73,67 +73,47 @@ class Tensor:
             return other
         return Tensor(other)
 
-    def __add__(self, other):
-        other = Tensor._coerce(other)
+    def _binary(self, other, fn, grad_a, grad_b, op_name):
+        """`fn` of the two operands' arrays. The backward gives an operand
+        that requires a gradient `grad_x(g, a, b)` summed down to its shape,
+        and gives None to (and computes nothing for) one that does not."""
+        a, b = self, Tensor._coerce(other)
 
         def bw(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
+            return tuple(
+                _unbroadcast(grad(g, a.data, b.data), x.shape) if x.requires_grad else None
+                for x, grad in ((a, grad_a), (b, grad_b))
+            )
 
-        return Tensor._op(self.data + other.data, (self, other), bw, "add")
+        return Tensor._op(fn(a.data, b.data), (a, b), bw, op_name)
+
+    def __add__(self, other):
+        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Tensor._coerce(other)
-
-        def bw(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)
-
-        return Tensor._op(self.data - other.data, (self, other), bw, "sub")
+        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g, "sub")
 
     def __neg__(self):
         return Tensor._op(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def bw(g):
-            return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
-            )
-
-        return Tensor._op(a.data * b.data, (a, b), bw, "mul")
+        return self._binary(other, np.multiply, lambda g, a, b: g * b,
+                            lambda g, a, b: g * a, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def bw(g):
-            return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            )
-
-        return Tensor._op(a.data / b.data, (a, b), bw, "div")
+        return self._binary(other, np.divide, lambda g, a, b: g / b,
+                            lambda g, a, b: -g * a / (b * b), "div")
 
     def __matmul__(self, other):
         other = Tensor._coerce(other)
-        a, b = self, other
-        if a.data.shape[-1] != b.data.shape[-2]:
-            raise ShapeError(
-                f"matmul inner dims disagree: {a.shape} @ {b.shape}"
-            )
-
-        def bw(g):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-        return Tensor._op(np.matmul(a.data, b.data), (a, b), bw, "matmul")
+        if self.shape[-1] != other.shape[-2]:
+            raise ShapeError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
+        return self._binary(other, np.matmul, lambda g, a, b: np.matmul(g, np.swapaxes(b, -1, -2)),
+                            lambda g, a, b: np.matmul(np.swapaxes(a, -1, -2), g), "matmul")
 
     def pow(self, p):
         x = self
@@ -215,10 +195,11 @@ class Tensor:
 
     def backward(self):
         """Reverse sweep from a scalar loss; accumulates .grad on the leaves
-        across sweeps (explicit gradient accumulation). An interior node
-        keeps the first gradient that reaches it and adds later ones out of
-        place, as a backward rule may hand one array to several parents; its
-        .grad is freed (set to None) once its own backward has run."""
+        across sweeps (explicit gradient accumulation). A binary op computes
+        an operand's gradient only when that operand requires one. An interior
+        node keeps the first gradient that reaches it and adds later ones out
+        of place, as a backward rule may hand one array to several parents;
+        its .grad is freed (set to None) once its own backward has run."""
         if self.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
         order = _topo_order(self)

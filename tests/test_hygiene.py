@@ -92,3 +92,37 @@ def test_every_definition_has_a_caller():
         if name not in refs and qualified not in CALLED_ONLY_BY_TESTS
     ]
     assert uncalled == []
+
+
+def unused_parameters(tree):
+    """(function, parameter) for every parameter of a def in `tree` that its
+    body, nested functions included, never reads; `self`, `cls` and
+    `_`-prefixed names are left out."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found += [(node.name, p.arg) for p in params
+                      if p and p.arg not in read and p.arg not in ("self", "cls")
+                      and not p.arg.startswith("_")]
+    return found
+
+
+def test_unused_parameters_of_a_module():
+    tree = ast.parse(
+        "def f(self, a, b=1, *c, _d, **e):\n    def g(x): return a\n    return e\n"
+        "class K:\n    def h(cls, y, z): return lambda w: y\n"
+    )
+    assert unused_parameters(tree) == [("f", "b"), ("f", "c"), ("g", "x"), ("h", "z")]
+
+
+def test_every_parameter_is_read():
+    """Each parameter of a function under src/hafx is read by its body."""
+    found = {
+        str(path.relative_to(SRC)): unused
+        for path in sorted(SRC.rglob("*.py"))
+        if (unused := unused_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,35 @@ def test_op_gradients_vs_finite_diff(name, f):
     assert finite_diff_check(f, x, step=1e-5) < 1e-4, name
 
 
+# (op, left shape, right shape): a scalar and a (4,) row against (3, 4)
+# either way round, and matrices for @, one side batched
+SHAPE_CASES = [
+    (op, left, right)
+    for op in ("add", "sub", "mul", "truediv")
+    for left, right in (((3, 4), ()), ((), (3, 4)), ((3, 4), (4,)), ((4,), (3, 4)))
+] + [("matmul", (3, 4), (4, 2)), ("matmul", (2, 3, 4), (4, 2)), ("matmul", (3, 4), (2, 4, 2))]
+
+
+@pytest.mark.parametrize("live", ["left", "right"])
+@pytest.mark.parametrize("op,left_shape,right_shape", SHAPE_CASES, ids=str)
+def test_binary_op_gradient_with_a_constant_operand(op, left_shape, right_shape, live):
+    """The live operand's gradient, summed down to its shape, matches finite
+    differences; the recorded backward computes none for the constant."""
+    rng = SeededRng(13, f"const/{op}/{left_shape}/{right_shape}/{live}")
+    live_shape, const_shape = (left_shape, right_shape)[:: 1 if live == "left" else -1]
+    # values in [0.5, 1.5]: away from 0 for truediv and from tanh's flat tails
+    x = rng.child("live").uniform(live_shape, 0.5, 1.5)
+    const = Tensor(rng.child("const").uniform(const_shape, 0.5, 1.5))
+
+    def apply(t):
+        return getattr(operator, op)(*((t, const) if live == "left" else (const, t)))
+
+    assert finite_diff_check(lambda t: apply(t).tanh().sum(), Tensor(x), step=1e-5) < 1e-4
+    assert const.grad is None
+    out = apply(Tensor(x, requires_grad=True))
+    assert out._backward_fn(np.ones(out.shape))[1 if live == "left" else 0] is None
+
+
 def test_embedding_gradient_scatter():
     w = Tensor(SeededRng(2, "emb").normal((5, 3)), requires_grad=True)
     out = embedding(w, np.array([1, 1, 4]))
@@ -205,21 +236,32 @@ ORACLE_CFG = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, max_T
                          mlp_width=32)
 
 
-@pytest.mark.parametrize("T", [32, 150])  # 150 crosses LA_CHUNK
-@pytest.mark.parametrize("mode", [None, *AblationMode], ids=lambda m: getattr(m, "value", m))
-def test_backward_matches_the_zero_fill_sweep(T, mode):
-    """Every leaf gradient of a LoRA-attached model's `lm_loss` is
-    bit-identical to the zero-fill sweep's, and the sweep frees every
-    interior gradient."""
+def lora_model(T):
+    """A LoRA-attached ORACLE_CFG model with B off zero, so A's gradient is
+    not 0, and a (2, T + 1) batch of tokens for it."""
     model = init_model(ORACLE_CFG)
     model.attach_feature_maps(4)
     model.lora_attach(rank=2)
     rng = SeededRng(T, "oracle")
-    for ad in model.lora.values():  # B off zero, so A's gradient is not 0
+    for ad in model.lora.values():
         ad.b.data = rng.child("lora_b").normal(ad.b.shape, std=0.1)
+    return model, rng.child("tokens").integers(0, ORACLE_CFG.vocab_size, (2, T + 1))
+
+
+@pytest.mark.parametrize("T", [32, 150])  # 150 crosses LA_CHUNK
+@pytest.mark.parametrize("mode,trainable", [  # ids: the mode, then "-lora" for adapters only
+    pytest.param(m, t, id=f"{getattr(m, 'value', m)}{'-lora' if t == 'lora' else ''}")
+    for t in ("all", "lora") for m in (None, *AblationMode)
+])
+def test_backward_matches_the_zero_fill_sweep(T, mode, trainable):
+    """Every leaf gradient of a LoRA-attached model's `lm_loss` is
+    bit-identical to the zero-fill sweep's, with every parameter trainable
+    or only the adapters, and the sweep frees every interior gradient."""
+    model, toks = lora_model(T)
+    if trainable == "lora":
+        model.set_trainable(lambda n: ".lora_" in n)
     attn = (AttnSettings("softmax") if mode is None
             else AttnSettings("hybrid", mode, WindowSpec(8, 2), HybridSpec(0.5)))
-    toks = rng.child("tokens").integers(0, ORACLE_CFG.vocab_size, (2, T + 1))
     params = model.named_parameters()
 
     def sweep(backward):
@@ -233,11 +275,37 @@ def test_backward_matches_the_zero_fill_sweep(T, mode):
     loss, ours = sweep(Tensor.backward)
     _, ref = sweep(backward_zero_fill)
     assert ours.keys() == ref.keys() and any(".lora_a" in n for n in ours)
+    assert all(".lora_" in n for n in ours) == (trainable == "lora")
     for name, g in ours.items():
         assert g.dtype == ref[name].dtype and g.shape == ref[name].shape, name
         assert g.tobytes() == ref[name].tobytes(), name
     interior = [node for node in _topo_order(loss) if node._backward_fn is not None]
     assert interior and all(node.grad is None for node in interior)
+
+
+def test_frozen_weights_get_no_gradient_matmul(monkeypatch):
+    """A LoRA-only backward skips the gradient matmul of every frozen
+    operand that a backward with every parameter trainable computes."""
+    model, toks = lora_model(32)
+    attn = AttnSettings("hybrid", AblationMode.FULL_HYBRID, WindowSpec(8, 2), HybridSpec(0.5))
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+
+    def backward_matmuls(predicate):
+        model.set_trainable(predicate)
+        loss = lm_loss(model.forward_logits(toks[:, :-1], attn), toks[:, 1:])
+        calls.clear()
+        loss.backward()
+        return len(calls)
+
+    every = backward_matmuls(lambda n: True)
+    lora_only = backward_matmuls(lambda n: ".lora_" in n)
+    # frozen: each layer's mlp w1 and w2, each head's phi W (applied to q
+    # and to k) and the head; and layer 0's x in x @ wq, wk and wv, which
+    # the frozen embedding and LayerNorm make a constant
+    cfg = ORACLE_CFG
+    assert every - lora_only == cfg.n_layers * (2 + 2 * cfg.n_heads) + 1 + 3
 
 
 @given(st.integers(0, 2**32 - 1))
