@@ -21,6 +21,7 @@ from ..tensor import Tensor, concat, row_softmax
 MASK_NEG = -1e30  # additive mask; underflows to exact 0 after softmax shift
 LA_EPS = 1e-6  # denominator guard for linear-attention normalisation
 LA_CHUNK = 64  # queries per chunk of every attention kernel
+ROPE_BASE = 10000.0  # RoPE's angle base: pair i turns by ROPE_BASE^(-i / half) per position
 
 
 class Activation(enum.Enum):
@@ -68,16 +69,6 @@ class HybridSpec:
             raise ShapeError("mixing scalar g must lie in [0, 1]")
 
 
-@dataclass
-class RoPEParams:
-    base: float = 10000.0
-    head_dim: int = 16
-
-    def __post_init__(self):
-        if self.head_dim % 2:
-            raise ShapeError("RoPE head dimension must be even")
-
-
 # -- masks -------------------------------------------------------------------
 
 
@@ -90,14 +81,15 @@ def lagged_mult_mask(T, window):
 # -- kernels -----------------------------------------------------------------
 
 
-def apply_rope(x, params, pos_offset=0):
-    """Rotate query/key pairs by position-dependent angles; norm-preserving."""
+def apply_rope(x, pos_offset=0):
+    """Rotate query/key pairs by position-dependent angles; norm-preserving.
+    Row t of `x` is rotated as position `pos_offset + t`."""
     h_d = x.shape[-1]
     if h_d % 2:
         raise ShapeError("apply_rope requires an even head dimension")
     T = x.shape[-2]
     half = h_d // 2
-    inv_freq = params.base ** (-np.arange(half) / half)
+    inv_freq = ROPE_BASE ** (-np.arange(half) / half)
     angles = np.outer(np.arange(pos_offset, pos_offset + T), inv_freq)
     cos = np.cos(angles)
     sin = np.sin(angles)

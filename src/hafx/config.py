@@ -24,16 +24,9 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _float_list(s):
-    return [float(x) for x in s.split(",") if x.strip()] if s else []
-
-
-def _int_list(s):
-    return [int(x) for x in s.split(",") if x.strip()] if s else []
-
-
-def _str_list(s):
-    return [x.strip() for x in s.split(",") if x.strip()] if s else []
+def _list(item):
+    """Parser of a comma-separated list whose items `item` parses."""
+    return lambda s: [item(x.strip()) for x in s.split(",") if x.strip()]
 
 
 def _fmt(value):
@@ -68,12 +61,12 @@ SCHEMA = {
         str,
         lambda v: v in [o.value for o in TransferObjective],
     ),
-    "ssd.dropout": ([], _float_list, lambda v: all(0.0 <= r <= 1.0 for r in v)),
-    "ssd.window": ([], _int_list, lambda v: all(w >= 1 for w in v)),
+    "ssd.dropout": ([], _list(float), lambda v: all(0.0 <= r <= 1.0 for r in v)),
+    "ssd.window": ([], _list(int), lambda v: all(w >= 1 for w in v)),
     # lora
     "lora.rank": (8, int, lambda v: v >= 1),
     "lora.alpha": (16.0, float, lambda v: v > 0),
-    "lora.targets": (["wq", "wk", "wv", "wo"], _str_list, None),
+    "lora.targets": (["wq", "wk", "wv", "wo"], _list(str), None),
     # training
     "train.lr_transfer": (1e-2, float, lambda v: v > 0),
     "train.lr_finetune": (1e-4, float, lambda v: v > 0),
@@ -85,14 +78,14 @@ SCHEMA = {
     "train.finetune_epochs": (3, int, lambda v: v >= 0),
     "train.stage2_epochs": (3, int, lambda v: v >= 0),
     # tasks
-    "task.kinds": (["assoc_recall"], _str_list, None),
+    "task.kinds": (["assoc_recall"], _list(str), None),
     # conversion corpus: task kinds whose train tokens feed the transfer and
     # fine-tuning stages (the generic-text stand-in); empty = all task.kinds.
     # Need not overlap task.kinds — converting on a corpus disjoint from the
     # evaluation tasks mirrors conversion on generic text.
     "task.transfer_kinds": (
         [],
-        _str_list,
+        _list(str),
         lambda v: all(k in TASK_KINDS for k in v),
     ),
     "task.T": (64, int, lambda v: v >= 4),
@@ -152,8 +145,6 @@ class RunConfig:
             lr_transfer=v["train.lr_transfer"],
             lr_finetune=v["train.lr_finetune"],
             lr_base=v["train.lr_base"],
-            transfer_epochs=v["train.transfer_epochs"],
-            finetune_epochs=v["train.finetune_epochs"],
             batch_size=v["train.batch_size"],
             accumulation=v["train.accumulation"],
             seed=v["seed"],

@@ -12,7 +12,6 @@ import numpy as np
 
 from .attention import (
     AblationMode,
-    HybridSpec,
     WindowSpec,
     feature_map_apply,
     hybrid_attention,
@@ -68,8 +67,6 @@ class TrainConfig:
     lr_base: float = 1e-3
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
-    transfer_epochs: int = 1
-    finetune_epochs: int = 3
     batch_size: int = 16
     accumulation: int = 4
     seed: int = 0
@@ -229,18 +226,18 @@ def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs):
                   cfg.accumulation, heldout=heldout, eval_attn=attn)
 
 
-def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,
-                           win=None, hy=None, epochs=None):
-    """Train only the feature maps against the frozen base model's attention.
+def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data, win, hy, epochs):
+    """Train only the feature maps against the frozen base model's attention,
+    for `epochs` epochs.
 
     `data` is an int token array (N, T). The teacher is recomputed per batch
-    from the student's own hidden states under full softmax attention. Each
-    batch is one optimisation step.
+    from the student's own hidden states under full softmax attention. The
+    hybrid objective runs the student under the caller's window `win` and
+    mixing `hy`; neither has a default, since a window of T or more keys
+    leaves LA no key. Each batch is one optimisation step.
     """
     if model.phi is None:
         raise ContractError("attach feature maps before attention transfer")
-    win = win or WindowSpec()
-    hy = hy or HybridSpec()
     model.set_trainable(lambda n: ".phi." in n)
     batches = list(_batches(len(data), cfg.batch_size))
 
@@ -255,8 +252,7 @@ def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data,
         return loss * (1.0 / model.cfg.n_heads)  # sum layers, mean heads
 
     base_attn = AttnSettings(kind="softmax")
-    return _train(model, cfg, "post-transfer", cfg.lr_transfer,
-                  epochs or cfg.transfer_epochs, lambda _epoch: batches,
+    return _train(model, cfg, "post-transfer", cfg.lr_transfer, epochs, lambda _epoch: batches,
                   lambda _epoch, _s: base_attn, loss_fn, accumulation=1)
 
 
@@ -272,12 +268,12 @@ def evaluate_lm(model, data, attn, batch_size=32):
     return total / count
 
 
-def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout,
-                 win=None, hy=None, checkpoint_fn=None, epochs=None,
-                 eval_gap_fn=None):
-    """LoRA fine-tuning with optional scheduled SWA dropout, reduce-on-plateau
-    on a held-out loss, and an early stop once `eval_gap_fn(model)` is
-    non-positive.
+def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout, win, hy, epochs,
+                 checkpoint_fn=None, eval_gap_fn=None):
+    """LoRA fine-tuning for at most `epochs` epochs under the caller's window
+    `win` and mixing `hy`, with optional scheduled SWA dropout,
+    reduce-on-plateau on a held-out loss, and an early stop once
+    `eval_gap_fn(model)` is non-positive.
 
     A single dropout coin per optimisation step applies to all layers. A
     dropped step zeroes the SWA branch (output = (1-g) (.) LA) with no
@@ -285,8 +281,6 @@ def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout,
     """
     if model.lora is None:
         raise ContractError("attach LoRA adapters before fine-tuning")
-    win = win or WindowSpec()
-    hy = hy or HybridSpec()
     model.set_trainable(lambda n: ".lora_" in n)
     rng = SeededRng(cfg.seed, "finetune")
     batches = list(_batches(len(train["tokens"]), cfg.batch_size))
@@ -302,8 +296,7 @@ def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout,
 
     eval_attn = AttnSettings(kind="hybrid", mode=AblationMode.FULL_HYBRID,
                              win=win, hy=hy)
-    return _train(model, cfg, "post-finetune", cfg.lr_finetune,
-                  epochs if epochs is not None else cfg.finetune_epochs,
+    return _train(model, cfg, "post-finetune", cfg.lr_finetune, epochs,
                   lambda _epoch: batches, step_attn, partial(_lm_batch_loss, model, train),
                   cfg.accumulation, heldout=heldout, eval_attn=eval_attn, plateau=True,
                   checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)

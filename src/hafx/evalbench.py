@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .attention import AblationMode, HybridSpec, WindowSpec, linear_attention
+from .attention import AblationMode, linear_attention
 from .errors import ContractError
 from .model import AttnSettings, lm_loss
 from .rng import SeededRng
@@ -88,27 +88,20 @@ class EvalReport:
         return out
 
 
-def evaluate_ablations(model, tasks, modes=ALL_MODES, hy=None, win=None,
-                       base_scores=None, stage="eval"):
-    """One metric row per (mode, task) over identical eval batches.
+def evaluate_ablations(model, tasks, hy, win, modes=ALL_MODES, stage="eval"):
+    """One metric row per (mode, task) over identical eval batches, and the
+    full-softmax reference accuracy of each task on the same model.
 
-    `tasks` maps task name -> dataset. `base_scores` are the full-softmax
-    reference accuracies; computed here from the same model if not given.
-    `win` may be a single WindowSpec or a per-task-name dict (the collapse
-    probe shrinks the window for associative recall only).
+    `tasks` maps task name -> dataset, and `win` maps task name ->
+    WindowSpec (the collapse probe shrinks the window for associative
+    recall only); `hy` is the mixing of every hybrid mode.
     """
-    hy = hy or HybridSpec()
-    win = win or WindowSpec()
-    if base_scores is None:
-        base_scores = {
-            name: evaluate_task(model, data, AttnSettings(kind="softmax"))[0]
-            for name, data in tasks.items()
-        }
+    base_scores = {name: evaluate_task(model, data, AttnSettings(kind="softmax"))[0]
+                   for name, data in tasks.items()}
     report = EvalReport(stage=stage, tasks=list(tasks), base_scores=base_scores)
     for mode in modes:
         for name, data in tasks.items():
-            w = win[name] if isinstance(win, dict) else win
-            attn = AttnSettings(kind="hybrid", mode=mode, win=w, hy=hy)
+            attn = AttnSettings(kind="hybrid", mode=mode, win=win[name], hy=hy)
             acc, loss, _ = evaluate_task(model, data, attn)
             report.rows.append((mode, name, acc, loss))
     return report

@@ -18,7 +18,6 @@ from .attention import (
     Activation,
     FeatureMapParams,
     HybridSpec,
-    RoPEParams,
     WindowSpec,
     apply_rope,
     hybrid_attention,
@@ -30,6 +29,7 @@ from .tensor import Tensor, concat, embedding, gelu, logsumexp, take_along_last
 
 LORA_TARGETS = ("wq", "wk", "wv", "wo")
 LN_EPS = 1e-5
+PHI_NOISE_STD = 0.1  # std of the Gaussian noise on each feature map's initial W
 
 
 @dataclass
@@ -87,7 +87,6 @@ class Model:
         self.phi_meta = None  # (d_prime, Activation)
         self.lora = None  # dict[(layer, target)] -> LoRAAdapter
         self.lora_meta = None  # (targets, rank, alpha)
-        self.rope = RoPEParams(head_dim=cfg.h_d)
 
     # -- parameter access ----------------------------------------------------
 
@@ -142,8 +141,8 @@ class Model:
         head_outs = []
         for h in range(cfg.n_heads):
             sl = (Ellipsis, slice(h * cfg.h_d, (h + 1) * cfg.h_d))
-            qh = apply_rope(q[sl], self.rope)
-            kh = apply_rope(k[sl], self.rope)
+            qh = apply_rope(q[sl])
+            kh = apply_rope(k[sl])
             vh = v[sl]
             if capture is not None:
                 capture.append((layer, h, qh.data.copy(), kh.data.copy(), vh.data.copy()))
@@ -185,9 +184,9 @@ class Model:
 
     # -- feature maps / LoRA ----------------------------------------------------
 
-    def attach_feature_maps(self, d_prime, activation=Activation.SOFTMAX, noise_std=0.1):
-        """One map per (layer, head): W = truncated identity + Gaussian noise.
-        `activation` only names the map in `phi_meta`."""
+    def attach_feature_maps(self, d_prime, activation=Activation.SOFTMAX):
+        """One map per (layer, head): W = truncated identity + Gaussian noise
+        of std PHI_NOISE_STD. `activation` only names the map in `phi_meta`."""
         if self.phi is not None:
             raise ContractError("feature maps already attached")
         cfg = self.cfg
@@ -197,7 +196,7 @@ class Model:
             heads = []
             for h in range(cfg.n_heads):
                 base = np.eye(cfg.h_d, d_prime)
-                noise = rng.child(f"phi/{i}/{h}").normal((cfg.h_d, d_prime), std=noise_std)
+                noise = rng.child(f"phi/{i}/{h}").normal((cfg.h_d, d_prime), std=PHI_NOISE_STD)
                 w = Tensor(base + noise, requires_grad=True)
                 b = Tensor(np.zeros(d_prime), requires_grad=True)
                 heads.append(FeatureMapParams(w=w, b=b))

@@ -3,14 +3,17 @@
 import numpy as np
 
 LR_FLOOR = 1e-8  # below this the learning rate is frozen
+BETAS = (0.9, 0.999)  # AdamW's first and second moment decay rates
+PLATEAU_FACTOR = 0.5  # lr multiplier on a plateau
+PLATEAU_PATIENCE = 2  # evals without improvement that a plateau tolerates
+PLATEAU_MIN_DELTA = 1e-4  # the smallest drop in the metric that counts as improvement
 
 
 class AdamW:
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr, eps=1e-8, weight_decay=0.01):
         # params: dict name -> Tensor; order fixed by sorted name for determinism
         self.params = dict(sorted(params.items()))
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
@@ -23,7 +26,7 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
@@ -36,26 +39,24 @@ class AdamW:
 
 
 class ReduceOnPlateau:
-    """Halve lr after `patience` evals without `min_delta` improvement."""
+    """Multiply lr by PLATEAU_FACTOR after more than PLATEAU_PATIENCE evals in
+    a row without a PLATEAU_MIN_DELTA improvement, never below LR_FLOOR."""
 
-    def __init__(self, optimizer, factor=0.5, patience=2, min_delta=1e-4):
+    def __init__(self, optimizer):
         self.opt = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_delta = min_delta
         self.best = np.inf
         self.bad_evals = 0
 
     def step(self, metric):
         """Returns True if the lr was reduced on this eval."""
-        if metric < self.best - self.min_delta:
+        if metric < self.best - PLATEAU_MIN_DELTA:
             self.best = metric
             self.bad_evals = 0
             return False
         self.bad_evals += 1
-        if self.bad_evals > self.patience:
-            if self.opt.lr * self.factor >= LR_FLOOR:
-                self.opt.lr *= self.factor
+        if self.bad_evals > PLATEAU_PATIENCE:
+            if self.opt.lr * PLATEAU_FACTOR >= LR_FLOOR:
+                self.opt.lr *= PLATEAU_FACTOR
             self.bad_evals = 0
             return True
         return False

@@ -147,21 +147,17 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     # attention transfer has no held-out eval; the eval split is built only
     # because the train split excludes its rows
     conv_train, _conv_eval = conversion_datasets(cfg)
-    report = run_attention_transfer(
-        model,
-        objective or cfg.objective(),
-        cfg.train_config(),
-        conv_train["tokens"],
-        win=cfg.window(),
-        hy=cfg.hybrid(),
-    )
+    report = run_attention_transfer(model, objective or cfg.objective(), cfg.train_config(),
+                                    conv_train["tokens"], cfg.window(), cfg.hybrid(),
+                                    cfg["train.transfer_epochs"])
     _save_stage(out, model, report)
     return model, report
 
 
 def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=None):
     """LoRA fine-tuning from a post-transfer checkpoint, attaching the
-    configured adapters if it has none, optionally with scheduled SWA
+    configured adapters if it has none, for `epochs` epochs
+    (`train.finetune_epochs` when None), optionally with scheduled SWA
     dropout and an early stop (`convert.run_finetune`); checkpoints every
     epoch and the final model."""
     model, _stage = load_model(ckpt)
@@ -181,8 +177,9 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=N
         return path
 
     report = run_finetune(model, cfg.train_config(), cfg.ssd() if use_ssd else None,
-                          conv_train, conv_eval, win=cfg.window(), hy=cfg.hybrid(),
-                          checkpoint_fn=checkpoint_fn, epochs=epochs, eval_gap_fn=eval_gap_fn)
+                          conv_train, conv_eval, cfg.window(), cfg.hybrid(),
+                          cfg["train.finetune_epochs"] if epochs is None else epochs,
+                          checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)
     _save_stage(out, model, report)
     return model, report
 
@@ -221,14 +218,8 @@ def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):
     out = _prepare_out(cfg)
     model, stage = load_model(ckpt)
     evals = eval_datasets(cfg)
-    report = evaluate_ablations(
-        model,
-        evals,
-        modes=modes,
-        hy=cfg.hybrid(),
-        win=eval_windows(cfg, evals),
-        stage=stage,
-    )
+    report = evaluate_ablations(model, evals, cfg.hybrid(), eval_windows(cfg, evals),
+                                modes=modes, stage=stage)
     path = write_csv(
         os.path.join(out, csv_name),
         ("stage", "mode", "task", "metric", "value", "recovered_pct"),

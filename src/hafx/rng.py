@@ -29,8 +29,8 @@ class SeededRng:
         """Independent stream derived from the same seed."""
         return SeededRng(self.seed, f"{self.label}/{label}" if self.label else label)
 
-    def normal(self, shape, std=1.0, mean=0.0):
-        return self._gen.normal(mean, std, size=shape)
+    def normal(self, shape, std=1.0):
+        return self._gen.normal(0.0, std, size=shape)
 
     def uniform(self, shape=None, low=0.0, high=1.0):
         return self._gen.uniform(low, high, size=shape)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .rng import SeededRng
 
 FILLER, MARKER = 0, 1
@@ -121,23 +121,22 @@ def _char_example(spec, rng, corpus):
     return window[:-1].copy(), window[1:].copy(), mask, mask.astype(bool)
 
 
-def gen_task(spec: TaskSpec, split="train", eval_set=None):
+def gen_task(spec: TaskSpec, split, eval_set=None):
     """Deterministic dataset for one split; eval rows never appear in train.
 
     A train split rejects the rows of `eval_set`, the spec's eval split,
-    which is generated here when not given.
+    which the caller generates first: a train split without it is a
+    ContractError.
     """
+    if split == "train" and eval_set is None:
+        raise ContractError("a train split needs its eval split, whose rows it excludes")
     rng = SeededRng(spec.seed, f"task/{spec.kind}/{split}")
     corpus, n_chars = _char_corpus(spec.vocab) if spec.kind == "char_lm" else (None, None)
     if corpus is not None and spec.T > len(corpus) - 2:  # starts are drawn from [0, len - T - 1)
         raise ConfigError(f"task.T = {spec.T} does not fit the {len(corpus)}-character "
                           f"char-LM corpus (at most {len(corpus) - 2})")
 
-    forbidden = set()
-    if split == "train":
-        if eval_set is None:
-            eval_set = gen_task(spec, split="eval")
-        forbidden = {row.tobytes() for row in eval_set["tokens"]}
+    forbidden = {row.tobytes() for row in eval_set["tokens"]} if split == "train" else set()
 
     n = spec.n_examples if split == "train" else max(32, spec.n_examples // 4)
     rows = []

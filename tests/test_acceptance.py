@@ -248,8 +248,7 @@ def test_criterion_5_lora_contracts():
     before = {n: p.data.copy() for n, p in model2.named_parameters().items()}
     data = rng.integers(0, TINY.vocab_size, (8, 8))
     run_attention_transfer(model2, TransferObjective.WEIGHTS_CE,
-                           TrainConfig(batch_size=4), data,
-                           win=WindowSpec(4), hy=HybridSpec(0.5))
+                           TrainConfig(batch_size=4), data, WindowSpec(4), HybridSpec(0.5), 1)
     untouched = all(
         (p.data == before[n]).all()
         for n, p in model2.named_parameters().items()

@@ -30,11 +30,14 @@ def test_parse_basic_and_comments():
         "\n"
         "ssd.dropout = 0.9,0.75,0.5\n"
         "attn.overlap = true\n"
+        "ssd.window = 4, 8,\nlora.targets = wq , wv\ntask.transfer_kinds =\n"
     )
     assert cfg["seed"] == 3
     assert cfg["attn.window"] == 16
     assert cfg["ssd.dropout"] == [0.9, 0.75, 0.5]
     assert cfg["attn.overlap"] is True
+    assert cfg["ssd.window"] == [4, 8] and cfg["lora.targets"] == ["wq", "wv"]
+    assert cfg["task.transfer_kinds"] == []
 
 
 def test_unknown_key_reports_line_number():
@@ -48,6 +51,9 @@ def test_bad_type_reports_line_number():
     with pytest.raises(ConfigError) as e:
         parse_config("attn.window = many\n")
     assert e.value.line == 1
+    with pytest.raises(ConfigError) as e:
+        parse_config("seed = 1\nssd.window = 4,x\n")
+    assert e.value.line == 2
 
 
 def test_out_of_range_g_names_the_key():
@@ -361,6 +367,17 @@ def test_transfer_from_scratch_records_each_stage_checkpoint(tmp_path, monkeypat
     for stage, record in records.items():
         assert record["checkpoints"] == [str(tmp_path / f"{stage}.ckpt")], stage
         assert (tmp_path / f"{stage}.ckpt").exists(), stage
+
+
+def test_each_epoch_key_reaches_its_stage(tmp_path, monkeypatch):
+    """ssd-run trains each stage for the epochs of its own config key."""
+    from hafx.pipelines import cmd_ssd_run
+
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
+    cmd_ssd_run(parse_config(CRITERION9 + "train.base_epochs = 2\ntrain.transfer_epochs = 3\n"
+                             "train.finetune_epochs = 2\n"))
+    epochs = {stage: len(r["epoch_losses"]) for stage, r in stage_records(tmp_path).items()}
+    assert epochs == {"base": 2, "post-transfer": 3, "post-finetune": 2}
 
 
 def test_hedgecats_is_weights_ce_transfer_then_early_stopped_finetune(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from hafx.convert import (
 )
 from hafx.errors import ConfigError, ContractError
 from hafx.model import Model, ModelConfig, init_model
-from hafx.optim import LR_FLOOR, AdamW, ReduceOnPlateau
+from hafx.optim import LR_FLOOR, PLATEAU_PATIENCE, AdamW, ReduceOnPlateau
 from hafx.rng import SeededRng
 from hafx.tensor import Tensor
 
@@ -183,7 +183,7 @@ def test_transfer_loss_gradients_vs_finite_diff(objective):
 
 def test_adamw_first_step_hand_computed():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    opt = AdamW({"p": p}, lr=0.1, eps=1e-8, weight_decay=0.0)
     p.grad = np.array([0.5])
     opt.step()
     # first step: m_hat = g, v_hat = g^2 -> update ~= lr * sign(g)
@@ -211,7 +211,7 @@ def test_adamw_converges_on_quadratic():
 def test_plateau_reduces_after_patience():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = AdamW({"p": p}, lr=1.0)
-    sched = ReduceOnPlateau(opt, factor=0.5, patience=2, min_delta=1e-4)
+    sched = ReduceOnPlateau(opt)
     assert not sched.step(1.0)   # new best
     assert not sched.step(1.0)   # bad 1
     assert not sched.step(1.0)   # bad 2
@@ -221,7 +221,7 @@ def test_plateau_reduces_after_patience():
 
 def test_plateau_improvement_resets_counter():
     opt = AdamW({"p": Tensor(np.array([1.0]), requires_grad=True)}, lr=1.0)
-    sched = ReduceOnPlateau(opt, patience=2)
+    sched = ReduceOnPlateau(opt)
     sched.step(1.0)
     sched.step(1.0)
     sched.step(0.5)  # improvement resets bad count
@@ -232,9 +232,11 @@ def test_plateau_improvement_resets_counter():
 
 def test_plateau_lr_floor_freeze():
     opt = AdamW({"p": Tensor(np.array([1.0]), requires_grad=True)}, lr=1.5 * LR_FLOOR)
-    sched = ReduceOnPlateau(opt, factor=0.5, patience=0)
+    sched = ReduceOnPlateau(opt)
     sched.step(1.0)
-    sched.step(1.0)  # would halve below the floor -> frozen
+    for _ in range(PLATEAU_PATIENCE):
+        assert not sched.step(1.0)
+    assert sched.step(1.0)  # would halve below the floor -> frozen
     assert opt.lr == 1.5 * LR_FLOOR
 
 
@@ -245,7 +247,7 @@ def test_transfer_requires_feature_maps():
     model = init_model(TINY)
     with pytest.raises(ContractError):
         run_attention_transfer(model, TransferObjective.WEIGHTS_CE, TrainConfig(),
-                               tiny_data()["tokens"])
+                               tiny_data()["tokens"], WindowSpec(4), HybridSpec(0.5), 1)
 
 
 def test_transfer_touches_only_phi():
@@ -254,7 +256,7 @@ def test_transfer_touches_only_phi():
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
     cfg = TrainConfig(batch_size=4, seed=0)
     run_attention_transfer(model, TransferObjective.WEIGHTS_CE, cfg,
-                           tiny_data()["tokens"], win=WindowSpec(4), hy=HybridSpec(0.5))
+                           tiny_data()["tokens"], WindowSpec(4), HybridSpec(0.5), 1)
     for name, p in model.named_parameters().items():
         if ".phi." in name:
             assert not (p.data == before[name]).all() or p.data.size == 0
@@ -267,8 +269,7 @@ def test_transfer_reduces_loss_over_epochs():
     model.attach_feature_maps(4)
     cfg = TrainConfig(batch_size=4)
     report = run_attention_transfer(model, TransferObjective.OUTPUTS_MSE, cfg,
-                                    tiny_data(n=16)["tokens"], epochs=4,
-                                    win=WindowSpec(4), hy=HybridSpec(0.5))
+                                    tiny_data(n=16)["tokens"], WindowSpec(4), HybridSpec(0.5), 4)
     assert report.epoch_losses[-1] < report.epoch_losses[0]
 
 
@@ -277,7 +278,7 @@ def test_finetune_requires_lora():
     model.attach_feature_maps(4)
     data = tiny_data()
     with pytest.raises(ContractError):
-        run_finetune(model, TrainConfig(), None, data, data)
+        run_finetune(model, TrainConfig(), None, data, data, WindowSpec(4), HybridSpec(0.5), 1)
 
 
 def test_finetune_deterministic_across_runs():
@@ -285,10 +286,10 @@ def test_finetune_deterministic_across_runs():
         model = init_model(TINY)
         model.attach_feature_maps(4)
         model.lora_attach(rank=2)
-        cfg = TrainConfig(batch_size=4, accumulation=2, finetune_epochs=2, seed=5)
+        cfg = TrainConfig(batch_size=4, accumulation=2, seed=5)
         data = tiny_data(n=8)
         run_finetune(model, cfg, SSDSchedule([0.5, 0.25], [4, 8]), data, data,
-                     win=WindowSpec(4), hy=HybridSpec(0.5))
+                     WindowSpec(4), HybridSpec(0.5), 2)
         return {n: p.data.copy() for n, p in model.named_parameters().items()}
 
     a, b = run(), run()
@@ -302,9 +303,9 @@ def test_finetune_updates_only_lora():
     model.attach_feature_maps(4)
     model.lora_attach(rank=2)
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
-    cfg = TrainConfig(batch_size=4, finetune_epochs=1, seed=1)
+    cfg = TrainConfig(batch_size=4, seed=1)
     data = tiny_data(n=8)
-    run_finetune(model, cfg, None, data, data, win=WindowSpec(4), hy=HybridSpec(0.5))
+    run_finetune(model, cfg, None, data, data, WindowSpec(4), HybridSpec(0.5), 1)
     for name, p in model.named_parameters().items():
         if ".lora_" not in name:
             assert (p.data == before[name]).all(), name
@@ -314,9 +315,9 @@ def hedgecats(model, cfg, stage2_epochs, data, eval_gap_fn=None):
     """Weights-CE transfer, then LoRA fine-tuning with an early stop."""
     win, hy = WindowSpec(4), HybridSpec(0.5)
     s1 = run_attention_transfer(model, TransferObjective.WEIGHTS_CE, cfg, data["tokens"],
-                                win=win, hy=hy)
+                                win, hy, 1)
     model.lora_attach()
-    s2 = run_finetune(model, cfg, None, data, data, win=win, hy=hy, epochs=stage2_epochs,
+    s2 = run_finetune(model, cfg, None, data, data, win, hy, stage2_epochs,
                       eval_gap_fn=eval_gap_fn)
     return s1, s2
 
@@ -362,9 +363,9 @@ def test_full_dropout_epoch_never_uses_swa(monkeypatch):
     model.attach_feature_maps(4)
     model.lora_attach(rank=2)
     data = tiny_data(n=8)
-    cfg = TrainConfig(batch_size=4, accumulation=1, finetune_epochs=1, seed=4)
+    cfg = TrainConfig(batch_size=4, accumulation=1, seed=4)
     run_finetune(model, cfg, SSDSchedule([1.0], [4]), data, data,
-                 win=WindowSpec(4), hy=HybridSpec(0.5))
+                 WindowSpec(4), HybridSpec(0.5), 1)
     assert seen and all(seen)
 
 
@@ -397,8 +398,8 @@ def test_loop_rng_streams(monkeypatch):
     model.attach_feature_maps(4)
     model.lora_attach(rank=2)
     ssd = SSDSchedule([0.5], [4, 8])
-    cfg = TrainConfig(batch_size=2, accumulation=2, finetune_epochs=2, seed=6)
-    run_finetune(model, cfg, ssd, train, heldout, win=WindowSpec(4), hy=HybridSpec(0.5))
+    cfg = TrainConfig(batch_size=2, accumulation=2, seed=6)
+    run_finetune(model, cfg, ssd, train, heldout, WindowSpec(4), HybridSpec(0.5), 2)
     expected = []
     for epoch in (1, 2):
         for s in (0, 2):
@@ -420,9 +421,8 @@ def test_finetune_guard_counts_are_the_empty_la_contexts():
     model.attach_feature_maps(4)
     model.lora_attach(rank=2)
     train, heldout = tiny_data(n=8), tiny_data(n=5, seed=1)
-    cfg = TrainConfig(batch_size=3, accumulation=2, finetune_epochs=2, seed=5)
-    report = run_finetune(model, cfg, None, train, heldout,
-                          win=WindowSpec(4), hy=HybridSpec(0.5))
+    cfg = TrainConfig(batch_size=3, accumulation=2, seed=5)
+    report = run_finetune(model, cfg, None, train, heldout, WindowSpec(4), HybridSpec(0.5), 2)
     assert report.guard_counts == [8 * 1 * 2 * 4] * 2  # held-out evals count nothing
     assert all(type(c) is int for c in report.guard_counts)  # stages.jsonl is JSON
 
@@ -432,8 +432,7 @@ def test_hybrid_transfer_guard_counts_are_the_empty_la_contexts():
     model.attach_feature_maps(4)
     cfg = TrainConfig(batch_size=3, seed=5)
     report = run_attention_transfer(model, TransferObjective.HYBRID_OUTPUTS_MSE, cfg,
-                                    tiny_data(n=8)["tokens"], win=WindowSpec(4),
-                                    hy=HybridSpec(0.5), epochs=2)
+                                    tiny_data(n=8)["tokens"], WindowSpec(4), HybridSpec(0.5), 2)
     assert report.guard_counts == [8 * 1 * 2 * 4] * 2
 
 
@@ -441,10 +440,10 @@ def test_overlap_guard_counts_are_zero():
     model = init_model(TINY)
     model.attach_feature_maps(4)
     data = tiny_data(n=8)
-    cfg = TrainConfig(batch_size=4, finetune_epochs=1, seed=5)
+    cfg = TrainConfig(batch_size=4, seed=5)
     overlap = HybridSpec(0.5, overlap=True)
     transfer = run_attention_transfer(model, TransferObjective.HYBRID_OUTPUTS_MSE, cfg,
-                                      data["tokens"], win=WindowSpec(4), hy=overlap)
+                                      data["tokens"], WindowSpec(4), overlap, 1)
     model.lora_attach(rank=2)
-    finetune = run_finetune(model, cfg, None, data, data, win=WindowSpec(4), hy=overlap)
+    finetune = run_finetune(model, cfg, None, data, data, WindowSpec(4), overlap, 1)
     assert transfer.guard_counts == finetune.guard_counts == [0]

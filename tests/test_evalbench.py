@@ -62,8 +62,8 @@ def test_char_lm_targets_shift():
 def test_task_determinism():
     spec = TaskSpec(kind="assoc_recall", T=16, vocab=32, n_examples=16,
                     n_pairs=3, n_keys=4, n_values=4)
-    a = gen_task(spec, "train")
-    b = gen_task(spec, "train")
+    a = gen_task(spec, "train", gen_task(spec, "eval"))
+    b = gen_task(spec, "train", gen_task(spec, "eval"))
     assert (a["tokens"] == b["tokens"]).all()
     assert (a["targets"] == b["targets"]).all()
 
@@ -71,14 +71,13 @@ def test_task_determinism():
 def test_train_eval_disjoint():
     spec = TaskSpec(kind="copy", T=9, vocab=32, n_examples=64, copy_symbols=3,
                     n_keys=4, n_values=4)
-    train = gen_task(spec, "train")
     ev = gen_task(spec, "eval")
+    train = gen_task(spec, "train", ev)
     eval_rows = {row.tobytes() for row in ev["tokens"]}
     assert not any(row.tobytes() in eval_rows for row in train["tokens"])
-    # handing the eval split in gives the same train split
-    given = gen_task(spec, "train", ev)
-    assert all(given[key].tobytes() == train[key].tobytes()
-               for key in ("tokens", "targets", "loss_mask", "acc_mask"))
+    # a train split cannot exclude an eval split it is not given
+    with pytest.raises(ContractError):
+        gen_task(spec, "train")
 
 
 def test_task_validation():
@@ -95,7 +94,7 @@ def test_merge_datasets_preserves_rows():
                   n_keys=4, n_values=4)
     s2 = TaskSpec(kind="assoc_recall", T=16, vocab=32, n_examples=8,
                   n_pairs=3, n_keys=4, n_values=4)
-    a, b = gen_task(s1, "train"), gen_task(s2, "train")
+    a, b = (gen_task(s, "train", gen_task(s, "eval")) for s in (s1, s2))
     merged = merge_datasets([a, b], seed=1)
     assert len(merged["tokens"]) == 16
     pool = {r.tobytes() for r in a["tokens"]} | {r.tobytes() for r in b["tokens"]}
@@ -193,9 +192,10 @@ def test_evals_build_no_tape_and_restore_every_flag(eval_setup, monkeypatch, eva
 
 def test_evaluate_ablations_row_schema(eval_setup):
     model, tasks = eval_setup
-    # untrained model can score exactly zero, so pin the base accuracy
-    report = evaluate_ablations(model, tasks, hy=HybridSpec(0.5), win=WindowSpec(4),
-                                base_scores={"copy": 0.5})
+    report = evaluate_ablations(model, tasks, HybridSpec(0.5), {"copy": WindowSpec(4)})
+    softmax = AttnSettings(kind="softmax")
+    assert report.base_scores == {"copy": evaluate_task(model, tasks["copy"], softmax)[0]}
+    report.base_scores = {"copy": 0.5}  # an untrained model can score exactly zero
     assert len(report.rows) == len(ALL_MODES)
     rows = report.csv_rows()
     assert len(rows) == 2 * len(report.rows)  # accuracy + loss per row
@@ -205,11 +205,10 @@ def test_evaluate_ablations_row_schema(eval_setup):
 
 def test_evaluate_ablations_per_task_windows(eval_setup):
     model, tasks = eval_setup
-    wins = {"copy": WindowSpec(2)}
-    narrow = evaluate_ablations(model, tasks, modes=(AblationMode.SWA_ONLY,),
-                                hy=HybridSpec(0.5), win=wins)
-    wide = evaluate_ablations(model, tasks, modes=(AblationMode.SWA_ONLY,),
-                              hy=HybridSpec(0.5), win=WindowSpec(16))
+    narrow = evaluate_ablations(model, tasks, HybridSpec(0.5), {"copy": WindowSpec(2)},
+                                modes=(AblationMode.SWA_ONLY,))
+    wide = evaluate_ablations(model, tasks, HybridSpec(0.5), {"copy": WindowSpec(16)},
+                              modes=(AblationMode.SWA_ONLY,))
     assert narrow.rows[0][3] != wide.rows[0][3]  # loss differs with the window
 
 

@@ -7,7 +7,6 @@ from hafx.attention import (
     AblationMode,
     FeatureMapParams,
     HybridSpec,
-    RoPEParams,
     WindowSpec,
     apply_rope,
     feature_map_apply,
@@ -71,13 +70,13 @@ def make_phi(h_d, d_prime, seed=0, trainable=False):
 
 def test_rope_position_zero_unchanged():
     x = SeededRng(0, "rope").normal((4, 8))
-    out = apply_rope(Tensor(x), RoPEParams(head_dim=8))
+    out = apply_rope(Tensor(x))
     np.testing.assert_allclose(out.data[0], x[0], atol=1e-15)
 
 
 def test_rope_is_isometry():
     x = SeededRng(1, "rope").normal((16, 8))
-    out = apply_rope(Tensor(x), RoPEParams(head_dim=8))
+    out = apply_rope(Tensor(x))
     np.testing.assert_allclose(
         np.linalg.norm(out.data, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-12
     )
@@ -88,9 +87,8 @@ def test_rope_relative_position_invariance(shift):
     rng = SeededRng(11, "rope-shift")
     q = Tensor(rng.normal((8, 8)))
     k = Tensor(rng.normal((8, 8)))
-    p = RoPEParams(head_dim=8)
-    base_q, base_k = apply_rope(q, p), apply_rope(k, p)
-    off_q, off_k = apply_rope(q, p, pos_offset=shift), apply_rope(k, p, pos_offset=shift)
+    base_q, base_k = apply_rope(q), apply_rope(k)
+    off_q, off_k = apply_rope(q, pos_offset=shift), apply_rope(k, pos_offset=shift)
     for m, n in [(2, 0), (5, 3), (7, 7)]:
         a = base_q.data[m] @ base_k.data[n]
         b = off_q.data[m] @ off_k.data[n]
@@ -99,9 +97,7 @@ def test_rope_relative_position_invariance(shift):
 
 def test_rope_rejects_odd_head_dim():
     with pytest.raises(ShapeError):
-        RoPEParams(head_dim=7)
-    with pytest.raises(ShapeError):
-        apply_rope(Tensor(np.zeros((2, 5))), RoPEParams(head_dim=8))
+        apply_rope(Tensor(np.zeros((2, 5))))
 
 
 # -- causal softmax attention ------------------------------------------------
@@ -581,7 +577,6 @@ def test_feature_map_gradient_vs_finite_diff():
 
 
 def test_rope_gradient_vs_finite_diff():
-    p = RoPEParams(head_dim=4)
     x = Tensor(SeededRng(15, "rope-fd").normal((5, 4)))
-    err = finite_diff_check(lambda t: (apply_rope(t, p) * 1.5).pow(2).sum(), x)
+    err = finite_diff_check(lambda t: (apply_rope(t) * 1.5).pow(2).sum(), x)
     assert err < 1e-4

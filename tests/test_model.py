@@ -20,7 +20,7 @@ from hafx.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from hafx.model import AttnSettings, Model, ModelConfig, init_model, lm_loss
+from hafx.model import PHI_NOISE_STD, AttnSettings, Model, ModelConfig, init_model, lm_loss
 from hafx.rng import SeededRng
 from hafx.tensor import Tensor
 
@@ -115,8 +115,10 @@ def test_attach_feature_maps_shape_and_double_attach(model):
 
 
 def test_feature_map_init_centered_on_identity(model):
-    model.attach_feature_maps(8, noise_std=0.0)
-    np.testing.assert_array_equal(model.phi[1][0].w.data, np.eye(SMALL.h_d, 8))
+    model.attach_feature_maps(8)
+    noise = SeededRng(SMALL.seed, "phi-init").child("phi/1/0").normal((SMALL.h_d, 8),
+                                                                      std=PHI_NOISE_STD)
+    np.testing.assert_array_equal(model.phi[1][0].w.data, np.eye(SMALL.h_d, 8) + noise)
 
 
 def test_phi_params_appear_in_named_parameters(model):
