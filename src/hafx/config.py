@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .attention import Activation, HybridSpec, WindowSpec
 from .convert import SSDSchedule, TrainConfig, TransferObjective
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .model import ModelConfig
 from .tasks import KINDS as TASK_KINDS
 from .tasks import TaskSpec
@@ -134,9 +134,8 @@ class RunConfig:
         return TransferObjective(self.values["objective"])
 
     def ssd(self):
+        """The `ssd.*` schedule; with neither key, plain fine-tuning."""
         d, w = self.values["ssd.dropout"], self.values["ssd.window"]
-        if not d and not w:
-            return None
         return SSDSchedule(d or [0.0], w or [self.values["attn.window"]])
 
     def train_config(self):
@@ -198,7 +197,12 @@ def parse_config(text) -> RunConfig:
         if check is not None and not check(parsed):
             raise ConfigError(f"value out of range for '{key}': {val}", line=lineno)
         values[key] = parsed
-    return RunConfig(values)
+    cfg = RunConfig(values)
+    try:
+        cfg.model_config()
+    except ShapeError as e:
+        raise ConfigError(f"model.d_model / model.n_heads: {e}") from e
+    return cfg
 
 
 def serialise_config(cfg: RunConfig) -> str:

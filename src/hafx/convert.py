@@ -101,14 +101,12 @@ def _teacher_weights(q, k):
 def transfer_loss(objective, q, k, v, phi, win, hy, clamps=None):
     """Distillation loss for one (layer, head); only phi carries gradients.
 
-    q, k, v are post-RoPE numpy constants from the frozen base projections;
-    the teacher is the full causal softmax computed from them. The
-    output-matching objectives append LA clamp counts to `clamps`.
+    q, k, v are the post-RoPE heads of the frozen base projections (Tensors
+    with no tape, or arrays); the teacher is the full causal softmax of their
+    arrays. The output-matching objectives append LA clamps to `clamps`.
     """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    qt, kt, vt = Tensor(q), Tensor(k), Tensor(v)
+    qt, kt, vt = (Tensor._coerce(x) for x in (q, k, v))
+    q, k, v = qt.data, kt.data, vt.data
 
     if objective is TransferObjective.HYBRID_OUTPUTS_MSE:
         student = hybrid_attention(qt, kt, vt, phi, win, hy, AblationMode.FULL_HYBRID,
@@ -132,14 +130,20 @@ def transfer_loss(objective, q, k, v, phi, win, hy, clamps=None):
 
 def _batches(n, batch_size):
     for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
+        yield slice(start, start + batch_size)
 
 
 def _lm_batch_loss(model, data, idx, attn):
-    """LM loss of rows `idx` of a dataset dict under `attn`."""
-    mask = data.get("loss_mask")
+    """(logits, LM loss) of rows `idx` of a dataset dict under `attn`."""
     logits = model.forward_logits(data["tokens"][idx], attn)
-    return lm_loss(logits, data["targets"][idx], None if mask is None else mask[idx])
+    return logits, lm_loss(logits, data["targets"][idx], data["loss_mask"][idx])
+
+
+def scored_batches(model, data, attn, batch_size):
+    """(rows, logits, loss) per batch slice `rows` of a dataset dict under
+    `attn`: the batch loop of both evals, each holding `Model.no_grad`."""
+    for idx in _batches(len(data["tokens"]), batch_size):
+        yield (idx, *_lm_batch_loss(model, data, idx, attn))
 
 
 def _epoch(opt, batches, accumulation, step_attn, loss_fn):
@@ -176,7 +180,7 @@ def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_
     """The optimisation loop of every stage, over the model's trainable
     parameters.
 
-    `batches(epoch)` lists the epoch's micro-batches (row-index arrays);
+    `batches(epoch)` lists the epoch's micro-batches (row selectors);
     each run of `accumulation` of them is one step, whose loss is the mean of
     `loss_fn(idx, step_attn(epoch, s))` over its micro-batches, where `s`
     indexes the step's first micro-batch. After each 1-based epoch: the
@@ -222,7 +226,7 @@ def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs):
     # constant lr: associative recall learns via a late phase transition, and
     # decaying on the pre-transition plateau can prevent it entirely
     return _train(model, cfg, "base", cfg.lr_base, epochs, batches,
-                  lambda _epoch, _s: attn, partial(_lm_batch_loss, model, train),
+                  lambda _epoch, _s: attn, lambda idx, a: _lm_batch_loss(model, train, idx, a)[1],
                   cfg.accumulation, heldout=heldout, eval_attn=attn)
 
 
@@ -257,27 +261,25 @@ def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data, win,
 
 
 def evaluate_lm(model, data, attn, batch_size=32):
-    """Held-out mean LM loss of a dataset dict (no gradients: the forwards
-    run under `Model.no_grad`, so they build no autodiff tape)."""
-    total, count = 0.0, 0
+    """Held-out mean LM loss of a dataset dict, weighting each of its
+    `scored_batches` by its rows; under `Model.no_grad`, so with no tape."""
+    total = 0.0
     with model.no_grad():
-        for idx in _batches(len(data["tokens"]), batch_size):
-            loss = _lm_batch_loss(model, data, idx, attn)
-            total += float(loss.data) * len(idx)
-            count += len(idx)
-    return total / count
+        for _rows, logits, loss in scored_batches(model, data, attn, batch_size):
+            total += float(loss.data) * len(logits.data)
+    return total / len(data["tokens"])
 
 
 def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout, win, hy, epochs,
                  checkpoint_fn=None, eval_gap_fn=None):
-    """LoRA fine-tuning for at most `epochs` epochs under the caller's window
-    `win` and mixing `hy`, with optional scheduled SWA dropout,
-    reduce-on-plateau on a held-out loss, and an early stop once
-    `eval_gap_fn(model)` is non-positive.
+    """LoRA fine-tuning for at most `epochs` epochs under SSD schedule `ssd`
+    and mixing `hy`, with reduce-on-plateau on the held-out loss at window
+    `win`, and an early stop once `eval_gap_fn(model)` is non-positive.
 
-    A single dropout coin per optimisation step applies to all layers. A
+    One `ssd_sample` coin per optimisation step applies to all layers. A
     dropped step zeroes the SWA branch (output = (1-g) (.) LA) with no
-    rescaling, matching the inference-time branch-zeroing algebra.
+    rescaling, matching the inference-time branch-zeroing algebra. Plain
+    fine-tuning is `SSDSchedule([0.0], [win.window])`, whose coins never drop.
     """
     if model.lora is None:
         raise ContractError("attach LoRA adapters before fine-tuning")
@@ -286,18 +288,15 @@ def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout, win, hy, e
     batches = list(_batches(len(train["tokens"]), cfg.batch_size))
 
     def step_attn(epoch, s):
-        if ssd is not None:
-            drop, window = ssd_sample(ssd, epoch, rng.child(f"ssd/{epoch}/{s}"))
-        else:
-            drop, window = False, win.window
+        drop, window = ssd_sample(ssd, epoch, rng.child(f"ssd/{epoch}/{s}"))
         mode = AblationMode.LA_ONLY if drop else AblationMode.FULL_HYBRID
         return AttnSettings(kind="hybrid", mode=mode,
                             win=WindowSpec(window, win.sink_count), hy=hy)
 
     eval_attn = AttnSettings(kind="hybrid", mode=AblationMode.FULL_HYBRID,
                              win=win, hy=hy)
-    return _train(model, cfg, "post-finetune", cfg.lr_finetune, epochs,
-                  lambda _epoch: batches, step_attn, partial(_lm_batch_loss, model, train),
+    return _train(model, cfg, "post-finetune", cfg.lr_finetune, epochs, lambda _epoch: batches,
+                  step_attn, lambda idx, a: _lm_batch_loss(model, train, idx, a)[1],
                   cfg.accumulation, heldout=heldout, eval_attn=eval_attn, plateau=True,
                   checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)
 

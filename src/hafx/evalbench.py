@@ -8,8 +8,9 @@ from functools import partial
 import numpy as np
 
 from .attention import AblationMode, linear_attention
+from .convert import scored_batches
 from .errors import ContractError
-from .model import AttnSettings, lm_loss
+from .model import AttnSettings
 from .rng import SeededRng
 from .tensor import Tensor
 
@@ -31,27 +32,30 @@ def recovered_performance(mode_avg, base_avg):
 
 
 def evaluate_task(model, data, attn: AttnSettings, batch_size=32):
-    """(accuracy, mean loss, n_scored) on a task's scored positions.
+    """(accuracy, mean loss, n_scored) of a task's `scored_batches`.
 
     Each batch's loss is weighted by its row count; every row of a task has
     the same number of scored positions, so this is the exact mean over
     scored positions whatever the size of the last batch. The forwards run
     under `Model.no_grad` and build no autodiff tape.
     """
-    correct, scored = 0, 0
-    total_loss = 0.0
-    tokens, targets = data["tokens"], data["targets"]
-    acc_mask, loss_mask = data["acc_mask"], data["loss_mask"]
+    correct, scored, total_loss = 0, 0, 0.0
     with model.no_grad():
-        for start in range(0, len(tokens), batch_size):
-            idx = slice(start, start + batch_size)
-            logits = model.forward_logits(tokens[idx], attn)
-            pred = logits.data.argmax(axis=-1)
-            m = acc_mask[idx]
-            correct += int((pred[m] == targets[idx][m]).sum())
+        for rows, logits, loss in scored_batches(model, data, attn, batch_size):
+            m = data["acc_mask"][rows]
+            correct += int((logits.data.argmax(axis=-1)[m] == data["targets"][rows][m]).sum())
             scored += int(m.sum())
-            total_loss += float(lm_loss(logits, targets[idx], loss_mask[idx]).data) * len(m)
-    return correct / scored, total_loss / len(tokens), scored
+            total_loss += float(loss.data) * len(m)
+    return correct / scored, total_loss / len(data["tokens"]), scored
+
+
+def mode_scores(model, tasks, mode, hy, win):
+    """{task: `evaluate_task(...)`} under ablation `mode` and mixing `hy` at
+    window `win[task]`, or under full softmax when `mode` is None."""
+    softmax = AttnSettings(kind="softmax")
+    return {name: evaluate_task(model, data, softmax if mode is None
+                                else AttnSettings("hybrid", mode, win[name], hy))
+            for name, data in tasks.items()}
 
 
 @dataclass
@@ -96,13 +100,10 @@ def evaluate_ablations(model, tasks, hy, win, modes=ALL_MODES, stage="eval"):
     WindowSpec (the collapse probe shrinks the window for associative
     recall only); `hy` is the mixing of every hybrid mode.
     """
-    base_scores = {name: evaluate_task(model, data, AttnSettings(kind="softmax"))[0]
-                   for name, data in tasks.items()}
-    report = EvalReport(stage=stage, tasks=list(tasks), base_scores=base_scores)
+    base = mode_scores(model, tasks, None, hy, win)
+    report = EvalReport(stage, list(tasks), base_scores={n: s[0] for n, s in base.items()})
     for mode in modes:
-        for name, data in tasks.items():
-            attn = AttnSettings(kind="hybrid", mode=mode, win=win[name], hy=hy)
-            acc, loss, _ = evaluate_task(model, data, attn)
+        for name, (acc, loss, _n) in mode_scores(model, tasks, mode, hy, win).items():
             report.rows.append((mode, name, acc, loss))
     return report
 

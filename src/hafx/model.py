@@ -45,8 +45,9 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads, self.max_T) < 1:
             raise ShapeError("model sizes must be positive")
-        if self.d_model % self.n_heads:
-            raise ShapeError("d_model must be divisible by n_heads")
+        if self.d_model % self.n_heads or self.h_d % 2:
+            raise ShapeError(f"d_model / n_heads = {self.d_model} / {self.n_heads} is not an "
+                             "even head width")
         if self.mlp_width == 0:
             self.mlp_width = 4 * self.d_model
 
@@ -145,7 +146,7 @@ class Model:
             kh = apply_rope(k[sl])
             vh = v[sl]
             if capture is not None:
-                capture.append((layer, h, qh.data.copy(), kh.data.copy(), vh.data.copy()))
+                capture.append((layer, h, qh, kh, vh))
             if attn.kind == "softmax":
                 head_outs.append(softmax_attention_causal(qh, kh, vh))
             else:

@@ -13,10 +13,16 @@ import os
 from .attention import WindowSpec
 from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
-from .convert import TransferObjective, run_attention_transfer, run_base_training, run_finetune
-from .errors import ContractError, HafxError
-from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, evaluate_task
-from .model import AttnSettings, init_model
+from .convert import (
+    SSDSchedule,
+    TransferObjective,
+    run_attention_transfer,
+    run_base_training,
+    run_finetune,
+)
+from .errors import ConfigError, ContractError, HafxError
+from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, mode_scores
+from .model import init_model
 from .tasks import gen_task, merge_datasets
 
 CSV_FLOAT_FMT = "{:.6f}"
@@ -125,6 +131,15 @@ def _save_stage(out, model, report):
     return path
 
 
+def _check_la_context(cfg: RunConfig):
+    """Refuse a hybrid stage whose LA branch would see no key: without
+    `attn.overlap`, query t sees keys i <= t - window only."""
+    window = max([cfg["attn.window"], *cfg["ssd.window"]])
+    if not cfg["attn.overlap"] and window >= cfg["task.T"]:
+        raise ConfigError(f"attn.window / ssd.window {window} >= task.T {cfg['task.T']} "
+                          "without attn.overlap: linear attention would see no key")
+
+
 def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
     """`base_ckpt`, or else the `base.ckpt` of a base model trained here."""
     if base_ckpt:
@@ -140,6 +155,7 @@ def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
 def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     """Attention transfer from the base checkpoint (trained first when none
     is given); writes `post-transfer.ckpt`."""
+    _check_la_context(cfg)
     out = _prepare_out(cfg)
     model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
     if model.phi is None:
@@ -157,13 +173,14 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
 def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=None):
     """LoRA fine-tuning from a post-transfer checkpoint, attaching the
     configured adapters if it has none, for `epochs` epochs
-    (`train.finetune_epochs` when None), optionally with scheduled SWA
-    dropout and an early stop (`convert.run_finetune`); checkpoints every
-    epoch and the final model."""
+    (`train.finetune_epochs` when None), under the `ssd.*` schedule with
+    `use_ssd` and else SSD at rate 0, with an optional early stop
+    (`convert.run_finetune`); checkpoints every epoch and the final model."""
     model, _stage = load_model(ckpt)
     if model.phi is None:
         raise ContractError(f"{ckpt} has no feature maps; fine-tuning starts from a "
                             "post-transfer checkpoint")
+    _check_la_context(cfg)
     out = _prepare_out(cfg)
     if model.lora is None:
         model.lora_attach(
@@ -176,7 +193,8 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=N
         save_model(path, m, "post-finetune")
         return path
 
-    report = run_finetune(model, cfg.train_config(), cfg.ssd() if use_ssd else None,
+    ssd = cfg.ssd() if use_ssd else SSDSchedule([0.0], [cfg["attn.window"]])
+    report = run_finetune(model, cfg.train_config(), ssd,
                           conv_train, conv_eval, cfg.window(), cfg.hybrid(),
                           cfg["train.finetune_epochs"] if epochs is None else epochs,
                           checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)
@@ -193,13 +211,10 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
     evals = eval_datasets(cfg)
     wins = eval_windows(cfg, evals)
 
-    def accuracy(m, name, mode):
-        attn = AttnSettings("hybrid", mode, wins[name], cfg.hybrid())
-        return evaluate_task(m, evals[name], attn)[0]
-
     def eval_gap_fn(m):
-        gaps = [accuracy(m, name, AblationMode.FULL_HYBRID)
-                - accuracy(m, name, AblationMode.SWA_ONLY) for name in evals]
+        hybrid, swa = (mode_scores(m, evals, mode, cfg.hybrid(), wins)
+                       for mode in (AblationMode.FULL_HYBRID, AblationMode.SWA_ONLY))
+        gaps = [hybrid[name][0] - swa[name][0] for name in evals]
         return sum(gaps) / len(gaps)
 
     model, stage2 = cmd_finetune(cfg, stage1.checkpoints[-1],
@@ -231,17 +246,10 @@ def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):
 def cmd_eval(cfg: RunConfig, ckpt, mode=AblationMode.FULL_HYBRID, softmax=False):
     model, stage = load_model(ckpt)
     evals = eval_datasets(cfg)
-    wins = eval_windows(cfg, evals)
-    results = {}
-    for name, data in evals.items():
-        attn = (
-            AttnSettings(kind="softmax")
-            if softmax
-            else AttnSettings("hybrid", mode, wins[name], cfg.hybrid())
-        )
-        acc, loss, n = evaluate_task(model, data, attn)
-        results[name] = {"accuracy": acc, "loss": loss, "n": n}
-    return stage, results
+    scores = mode_scores(model, evals, None if softmax else mode, cfg.hybrid(),
+                         eval_windows(cfg, evals))
+    return stage, {name: {"accuracy": acc, "loss": loss, "n": n}
+                   for name, (acc, loss, n) in scores.items()}
 
 
 def cmd_bench(T_list, d=64, d_prime=8, reps=3, out_path="bench.csv", seed=0):

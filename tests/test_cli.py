@@ -5,7 +5,7 @@ import pytest
 
 from hafx.cli import main
 from hafx.config import SCHEMA, RunConfig, load_config, parse_config, serialise_config
-from hafx.convert import TransferObjective
+from hafx.convert import SSDSchedule, TransferObjective
 from hafx.errors import ConfigError
 from hafx.pipelines import write_csv
 
@@ -97,7 +97,7 @@ def test_builders():
     assert cfg.d_prime() == 8  # h_d / 2 default
     assert cfg.objective() is TransferObjective.WEIGHTS_CE
     assert cfg.ssd().window_per_epoch == [64]
-    assert parse_config("").ssd() is None
+    assert parse_config("").ssd() == SSDSchedule([0.0], [64])
 
 
 def test_merged_builds_generate_each_split_once(monkeypatch):
@@ -532,3 +532,80 @@ def test_bad_stage_record_is_an_error_line_before_training(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{stages} line 2: " in err
     assert sorted(p.name for p in out.iterdir()) == ["stages.jsonl"]
+
+
+def test_odd_head_width_is_an_error_line_before_any_write(tmp_path, monkeypatch, capsys):
+    """RoPE rotates pairs of a head's dimensions, so the config parser
+    refuses an odd head width, naming both keys."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9 + "model.d_model = 6\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["transfer", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.d_model" in err and "model.n_heads" in err
+    assert not out.exists()
+
+
+def post_transfer_checkpoint(tmp_path):
+    """An untrained `post-transfer.ckpt` for the criterion-9 model."""
+    from hafx.checkpoint import save_model
+    from hafx.model import init_model
+
+    ckpt = tmp_path / "post-transfer.ckpt"
+    model = init_model(parse_config(CRITERION9).model_config()).attach_feature_maps(4)
+    save_model(str(ckpt), model, "post-transfer")
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("command, text", [
+    (["transfer"], ""),
+    (["ssd-run"], ""),
+    (["ssd-run"], CRITERION9 + "ssd.window = 4,16\n"),
+    (["finetune", "--ckpt"], CRITERION9 + "attn.window = 16\n"),
+], ids=["transfer-defaults", "ssd-run-defaults", "ssd-window-T", "finetune-window-T"])
+def test_window_that_leaves_la_no_key_is_refused(tmp_path, monkeypatch, capsys, command, text):
+    """Without attn.overlap, query t sees LA keys i <= t - window only, so a
+    window of task.T or more would bypass LA; no stage runs or writes."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    if command[-1] == "--ckpt":
+        command = command + [post_transfer_checkpoint(tmp_path)]
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(command + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: attn.window / ssd.window ") and "task.T" in err
+    assert not out.exists()
+
+
+def test_overlap_gives_la_every_key_so_a_wide_window_passes():
+    from hafx.pipelines import _check_la_context
+
+    _check_la_context(parse_config("attn.overlap = true\n"))
+    _check_la_context(parse_config("attn.window = 63\nssd.window = 8,63\n"))
+
+
+def test_finetune_without_ssd_never_drops_a_step(tmp_path, monkeypatch):
+    """`hafx finetune` without --ssd is SSD at rate 0 and reads no `ssd.*`
+    key: a config's dropout of 1.0 applies only with --ssd."""
+    import hafx.convert as convert
+
+    seen = []
+    orig = convert.ssd_sample
+
+    def spy(sched, epoch, rng):
+        out = orig(sched, epoch, rng)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(convert, "ssd_sample", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9 + "ssd.dropout = 1.0\n")
+    ckpt = post_transfer_checkpoint(tmp_path)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["finetune", "--config", str(cfg), "--ckpt", ckpt]) == 0
+    assert seen and seen == [(False, 8)] * len(seen)
+    seen.clear()
+    assert main(["finetune", "--config", str(cfg), "--ckpt", ckpt, "--ssd"]) == 0
+    assert seen and all(drop for drop, _window in seen)

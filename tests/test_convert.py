@@ -29,6 +29,7 @@ from hafx.tensor import Tensor
 from .reference import finite_diff_check
 
 TINY = ModelConfig(vocab_size=16, d_model=16, n_layers=1, n_heads=2, max_T=16, mlp_width=32)
+NO_SSD = SSDSchedule([0.0], [4])  # plain fine-tuning at window 4: SSD at rate 0
 
 
 def tiny_data(n=8, T=8, seed=0):
@@ -278,7 +279,7 @@ def test_finetune_requires_lora():
     model.attach_feature_maps(4)
     data = tiny_data()
     with pytest.raises(ContractError):
-        run_finetune(model, TrainConfig(), None, data, data, WindowSpec(4), HybridSpec(0.5), 1)
+        run_finetune(model, TrainConfig(), NO_SSD, data, data, WindowSpec(4), HybridSpec(0.5), 1)
 
 
 def test_finetune_deterministic_across_runs():
@@ -305,7 +306,7 @@ def test_finetune_updates_only_lora():
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
     cfg = TrainConfig(batch_size=4, seed=1)
     data = tiny_data(n=8)
-    run_finetune(model, cfg, None, data, data, WindowSpec(4), HybridSpec(0.5), 1)
+    run_finetune(model, cfg, NO_SSD, data, data, WindowSpec(4), HybridSpec(0.5), 1)
     for name, p in model.named_parameters().items():
         if ".lora_" not in name:
             assert (p.data == before[name]).all(), name
@@ -317,7 +318,7 @@ def hedgecats(model, cfg, stage2_epochs, data, eval_gap_fn=None):
     s1 = run_attention_transfer(model, TransferObjective.WEIGHTS_CE, cfg, data["tokens"],
                                 win, hy, 1)
     model.lora_attach()
-    s2 = run_finetune(model, cfg, None, data, data, win, hy, stage2_epochs,
+    s2 = run_finetune(model, cfg, NO_SSD, data, data, win, hy, stage2_epochs,
                       eval_gap_fn=eval_gap_fn)
     return s1, s2
 
@@ -367,6 +368,26 @@ def test_full_dropout_epoch_never_uses_swa(monkeypatch):
     run_finetune(model, cfg, SSDSchedule([1.0], [4]), data, data,
                  WindowSpec(4), HybridSpec(0.5), 1)
     assert seen and all(seen)
+
+
+def test_rate_zero_schedule_runs_every_step_full_hybrid(monkeypatch):
+    """Plain fine-tuning is SSD at rate 0: every step, and the held-out
+    eval, runs the full hybrid at the schedule's window."""
+    seen = []
+    orig = Model.forward_logits
+
+    def spy(self, tokens, attn, *a, **k):
+        seen.append((attn.mode, attn.win.window))
+        return orig(self, tokens, attn, *a, **k)
+
+    monkeypatch.setattr(Model, "forward_logits", spy)
+    model = init_model(TINY)
+    model.attach_feature_maps(4)
+    model.lora_attach(rank=2)
+    data = tiny_data(n=8)
+    cfg = TrainConfig(batch_size=2, accumulation=1, seed=4)
+    run_finetune(model, cfg, NO_SSD, data, data, WindowSpec(4), HybridSpec(0.5), 2)
+    assert seen == [(AblationMode.FULL_HYBRID, 4)] * (2 * (4 + 1))  # 2 x (4 steps + 1 eval)
 
 
 def test_loop_rng_streams(monkeypatch):
@@ -422,7 +443,7 @@ def test_finetune_guard_counts_are_the_empty_la_contexts():
     model.lora_attach(rank=2)
     train, heldout = tiny_data(n=8), tiny_data(n=5, seed=1)
     cfg = TrainConfig(batch_size=3, accumulation=2, seed=5)
-    report = run_finetune(model, cfg, None, train, heldout, WindowSpec(4), HybridSpec(0.5), 2)
+    report = run_finetune(model, cfg, NO_SSD, train, heldout, WindowSpec(4), HybridSpec(0.5), 2)
     assert report.guard_counts == [8 * 1 * 2 * 4] * 2  # held-out evals count nothing
     assert all(type(c) is int for c in report.guard_counts)  # stages.jsonl is JSON
 
@@ -445,5 +466,5 @@ def test_overlap_guard_counts_are_zero():
     transfer = run_attention_transfer(model, TransferObjective.HYBRID_OUTPUTS_MSE, cfg,
                                       data["tokens"], WindowSpec(4), overlap, 1)
     model.lora_attach(rank=2)
-    finetune = run_finetune(model, cfg, None, data, data, WindowSpec(4), overlap, 1)
+    finetune = run_finetune(model, cfg, NO_SSD, data, data, WindowSpec(4), overlap, 1)
     assert transfer.guard_counts == finetune.guard_counts == [0]

@@ -13,6 +13,7 @@ from hafx.evalbench import (
     benchmark_scaling,
     evaluate_ablations,
     evaluate_task,
+    mode_scores,
     recovered_performance,
 )
 from hafx.model import AttnSettings, Model, ModelConfig, init_model, lm_loss
@@ -188,6 +189,45 @@ def test_evals_build_no_tape_and_restore_every_flag(eval_setup, monkeypatch, eva
     with pytest.raises(InputError):
         evaluate(model, bad, attn, batch_size=3)
     assert {n: p.requires_grad for n, p in model.named_parameters().items()} == flags
+
+
+def _every_binding(monkeypatch, fn, replacement):
+    """Replace `fn` under every name a loaded `hafx` module binds it to."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name == "hafx" or name.startswith("hafx."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("evaluate, other", [(evaluate_lm, evaluate_task),
+                                             (evaluate_task, evaluate_lm)])
+def test_neither_eval_runs_the_other(eval_setup, monkeypatch, evaluate, other):
+    """The benchmark times both evals; a nested call would count twice."""
+    model, tasks = eval_setup
+
+    def refuse(*_a, **_k):
+        raise AssertionError(f"{other.__name__} ran inside {evaluate.__name__}")
+
+    _every_binding(monkeypatch, other, refuse)
+    evaluate(model, tasks["copy"], AttnSettings(kind="softmax"))
+
+
+def test_evaluate_ablations_is_mode_scores_per_mode(eval_setup):
+    model, tasks = eval_setup
+    spec = TaskSpec(kind="assoc_recall", T=9, vocab=32, n_examples=16, n_pairs=2,
+                    n_keys=4, n_values=4)
+    tasks["assoc_recall"] = gen_task(spec, "eval")
+    hy, win = HybridSpec(0.5), {"copy": WindowSpec(4), "assoc_recall": WindowSpec(2)}
+    modes = (AblationMode.SWA_ONLY, AblationMode.LA_ONLY)
+    report = evaluate_ablations(model, tasks, hy, win, modes=modes)
+    base = mode_scores(model, tasks, None, hy, win)
+    assert report.base_scores == {name: scores[0] for name, scores in base.items()}
+    per_mode = {mode: mode_scores(model, tasks, mode, hy, win) for mode in modes}
+    assert report.rows == [(mode, name, acc, loss) for mode in modes
+                           for name, (acc, loss, _n) in per_mode[mode].items()]
 
 
 def test_evaluate_ablations_row_schema(eval_setup):

@@ -48,6 +48,11 @@ def test_config_rejects_indivisible_heads():
         ModelConfig(d_model=10, n_heads=3)
 
 
+def test_config_rejects_an_odd_head_width():
+    with pytest.raises(ShapeError):
+        ModelConfig(d_model=6, n_heads=2)
+
+
 def test_config_default_mlp_width():
     assert ModelConfig(d_model=32, n_heads=2).mlp_width == 128
 
@@ -330,6 +335,8 @@ def rewrite_meta(path, edit=None, blob=None):
     pytest.param(lambda m: m.pop("config"), None, id="missing-config"),
     pytest.param(lambda m: m["config"].update(vocab_size=-1), None, id="negative-vocab"),
     pytest.param(lambda m: m["config"].update(n_heads=0), None, id="zero-heads"),
+    pytest.param(lambda m: m["config"].update(d_model=6, n_heads=2), None,
+                 id="odd-head-width"),
     pytest.param(lambda m: m.update(phi={"d_prime": 4, "activation": "cubic"}), None,
                  id="unknown-activation"),
     pytest.param(lambda m: m.update(phi={"d_prime": 4, "activation": "relu"}), None,

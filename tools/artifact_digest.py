@@ -9,9 +9,12 @@ SRC is the `src/` directory whose `hafx` is imported (default: the one next
 to this script), and OUT_DIR must not exist yet. Each config runs
 `cmd_ssd_run` and `cmd_ablate` on its fine-tuned checkpoint, then
 `cmd_hedgecats` from the same base checkpoint and `cmd_ablate` on the
-HedgeCATs post-finetune and post-transfer checkpoints. The output is one
-`sha256  path` line per `.ckpt`/`.csv` file, then every `stages.jsonl`
-record with `wall_time_s` dropped and paths made relative to OUT_DIR.
+HedgeCATs post-finetune and post-transfer checkpoints, and `cmd_eval` on
+the ssd run's fine-tuned checkpoint under full softmax and under LA only.
+The output is one `sha256  path` line per `.ckpt`/`.csv` file, then every
+`stages.jsonl` record with `wall_time_s` dropped and paths made relative to
+OUT_DIR, then one `config/eval-mode: stage task accuracy loss n` line per
+task of each `cmd_eval`, with its floats in `repr`.
 """
 
 import argparse
@@ -61,15 +64,24 @@ CONFIGS = {
 
 
 def run_config(pipelines, cfg, out):
+    """Run the config's stages under `out`; return its `cmd_eval` lines."""
     ssd, hedge = os.path.join(out, "ssd"), os.path.join(out, "hedgecats")
     os.environ["HAFX_OUTPUT_DIR"] = ssd
     pipelines.cmd_ssd_run(cfg)
     pipelines.cmd_ablate(cfg, os.path.join(ssd, "post-finetune.ckpt"))
+    evals = []
+    for label, kwargs in (("softmax", {"softmax": True}),
+                          ("la_only", {"mode": pipelines.AblationMode.LA_ONLY})):
+        stage, results = pipelines.cmd_eval(cfg, os.path.join(ssd, "post-finetune.ckpt"),
+                                            **kwargs)
+        evals += [f"{os.path.basename(out)}/eval-{label}: {stage} {task} {r['accuracy']!r} "
+                  f"{r['loss']!r} {r['n']}" for task, r in results.items()]
     os.environ["HAFX_OUTPUT_DIR"] = hedge
     pipelines.cmd_hedgecats(cfg, base_ckpt=os.path.join(ssd, "base.ckpt"))
     pipelines.cmd_ablate(cfg, os.path.join(hedge, "post-finetune.ckpt"))
     pipelines.cmd_ablate(cfg, os.path.join(hedge, "post-transfer.ckpt"),
                          csv_name="ablation-post-transfer.csv")
+    return evals
 
 
 def relative(value, root):
@@ -113,12 +125,14 @@ def main(argv=None):
 
     root = os.path.abspath(args.out_dir)
     os.makedirs(root)
+    evals = []
     for name, overrides in CONFIGS.items():
         text = "".join(f"{k} = {v}\n" for k, v in {**BASE, **overrides}.items())
-        run_config(pipelines, parse_config(text), os.path.join(root, name))
+        evals += run_config(pipelines, parse_config(text), os.path.join(root, name))
     lines, stages = digest(root)
-    print("\n".join(lines + stages))
-    print(f"# {len(lines)} .ckpt/.csv files, {len(stages)} stage records", file=sys.stderr)
+    print("\n".join(lines + stages + evals))
+    print(f"# {len(lines)} .ckpt/.csv files, {len(stages)} stage records, "
+          f"{len(evals)} eval lines", file=sys.stderr)
 
 
 if __name__ == "__main__":
