@@ -217,26 +217,18 @@ def hybrid_attention(q, k, v, phi, win, hy, mode, return_branches=False, clamps=
     LA branch appends its clamp counts to `clamps`, as `linear_attention`.
     """
     T, d_v = q.shape[-2], v.shape[-1]
-    zeros = Tensor(np.zeros(v.shape[:-2] + (T, d_v)))
-
-    if mode is AblationMode.NO_ATTENTION:
-        out = zeros
-        return (out, zeros, zeros) if return_branches else out
-    if mode is AblationMode.SINKS_ONLY:  # no sinks: no keys, so 0 as in LA
-        out = sinks_attention(q, k, v, win.sink_count) if win.sink_count else zeros
-        return (out, zeros, zeros) if return_branches else out
-
-    g = hy.g
-    swa_branch = zeros
-    la_branch = zeros
-    if mode in (AblationMode.FULL_HYBRID, AblationMode.SWA_ONLY, AblationMode.HYBRID_OVERLAP):
-        swa_branch = sliding_window_attention(q, k, v, win.window)
-    if mode in (AblationMode.FULL_HYBRID, AblationMode.LA_ONLY, AblationMode.HYBRID_OVERLAP):
-        overlap = hy.overlap or mode is AblationMode.HYBRID_OVERLAP
-        phi_q = feature_map_apply(phi, q)
-        phi_k = feature_map_apply(phi, k)
-        la_branch = linear_attention(phi_q, phi_k, v, lag=0 if overlap else win.window,
-                                     clamps=clamps)
-
-    out = g * swa_branch + (1.0 - g) * la_branch
+    out = swa_branch = la_branch = Tensor(np.zeros(v.shape[:-2] + (T, d_v)))
+    if mode is AblationMode.SINKS_ONLY:
+        if win.sink_count:  # no sinks: no keys, so 0 as in LA
+            out = sinks_attention(q, k, v, win.sink_count)
+    elif mode is not AblationMode.NO_ATTENTION:
+        if mode in (AblationMode.FULL_HYBRID, AblationMode.SWA_ONLY, AblationMode.HYBRID_OVERLAP):
+            swa_branch = sliding_window_attention(q, k, v, win.window)
+        if mode in (AblationMode.FULL_HYBRID, AblationMode.LA_ONLY, AblationMode.HYBRID_OVERLAP):
+            overlap = hy.overlap or mode is AblationMode.HYBRID_OVERLAP
+            phi_q = feature_map_apply(phi, q)
+            phi_k = feature_map_apply(phi, k)
+            la_branch = linear_attention(phi_q, phi_k, v, lag=0 if overlap else win.window,
+                                         clamps=clamps)
+        out = hy.g * swa_branch + (1.0 - hy.g) * la_branch
     return (out, swa_branch, la_branch) if return_branches else out

@@ -10,7 +10,7 @@ import sys
 
 from .config import RunConfig, load_config, parse_config
 from .errors import HafxError
-from .evalbench import ALL_MODES, AblationMode
+from .evalbench import ALL_MODES, AblationMode, benchmark_scaling
 
 
 def _config(args) -> RunConfig:
@@ -19,10 +19,15 @@ def _config(args) -> RunConfig:
     return parse_config("")
 
 
-def _parse_modes(text):
+def _modes(text):
+    """`--modes`: "all" or comma-separated mode names."""
     if text == "all":
         return ALL_MODES
-    return tuple(AblationMode(m.strip()) for m in text.split(","))
+    try:
+        return tuple(AblationMode(m.strip()) for m in text.split(","))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{e}; the modes are all or "
+                                         f"{', '.join(m.value for m in AblationMode)}") from e
 
 
 def build_parser():
@@ -49,12 +54,12 @@ def build_parser():
 
     sp = add("eval", "evaluate a checkpoint on the configured tasks")
     sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--mode", default="full_hybrid")
-    sp.add_argument("--softmax", action="store_true", help="full softmax attention")
+    sp.add_argument("--mode", default="full_hybrid",
+                    choices=[m.value for m in AblationMode] + ["softmax"])
 
     sp = add("ablate", "six-mode ablation table for a checkpoint")
     sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--modes", default="all")
+    sp.add_argument("--modes", default="all", type=_modes)
 
     sp = add("bench", "linear vs quadratic scaling benchmark")
     sp.add_argument("--T", default="256,512,1024")
@@ -85,23 +90,19 @@ def _run(args):
         _, report = pipelines.cmd_ssd_run(_config(args), base_ckpt=args.base_ckpt)
         print(f"ssd finetune losses: {report.epoch_losses}")
     elif args.command == "eval":
-        stage, results = pipelines.cmd_eval(
-            _config(args), args.ckpt, AblationMode(args.mode), softmax=args.softmax
-        )
+        mode = None if args.mode == "softmax" else AblationMode(args.mode)
+        stage, results = pipelines.cmd_eval(_config(args), args.ckpt, mode)
         for task, r in results.items():
             print(f"{stage} {task}: acc={r['accuracy']:.4f} loss={r['loss']:.4f}")
     elif args.command == "ablate":
-        report, path = pipelines.cmd_ablate(
-            _config(args), args.ckpt, modes=_parse_modes(args.modes)
-        )
+        report, path = pipelines.cmd_ablate(_config(args), args.ckpt, modes=args.modes)
         print(f"wrote {path}")
         _print_table(report)
     elif args.command == "bench":
         T_list = [int(t) for t in args.T.split(",")]
-        report = pipelines.cmd_bench(
-            T_list, d=args.d, d_prime=args.d_prime, reps=args.reps,
-            out_path=args.out, seed=args.seed,
-        )
+        report = benchmark_scaling(T_list, d=args.d, d_prime=args.d_prime, reps=args.reps,
+                                   seed=args.seed)
+        pipelines.write_csv(args.out, ("path", "T", "median_ms", "aux_bytes"), report.rows)
         for path, T, ms, aux in report.rows:
             print(f"{path:20s} T={T:<6d} {ms:10.3f} ms  aux={aux} B")
         print(f"wrote {args.out}")

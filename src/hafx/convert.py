@@ -19,7 +19,7 @@ from .attention import (
 )
 from .errors import ConfigError, ContractError
 from .model import AttnSettings, Model, lm_loss
-from .optim import AdamW, ReduceOnPlateau
+from .optim import ADAM_EPS, WEIGHT_DECAY, AdamW, ReduceOnPlateau
 from .rng import SeededRng
 from .tensor import Tensor
 
@@ -65,11 +65,11 @@ class TrainConfig:
     lr_transfer: float = 1e-2
     lr_finetune: float = 1e-4
     lr_base: float = 1e-3
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
     batch_size: int = 16
     accumulation: int = 4
     seed: int = 0
+    adam_eps = ADAM_EPS  # class constants, not fields: no config key sets them
+    weight_decay = WEIGHT_DECAY
 
 
 @dataclass

@@ -14,14 +14,7 @@ from .model import AttnSettings
 from .rng import SeededRng
 from .tensor import Tensor
 
-ALL_MODES = (
-    AblationMode.FULL_HYBRID,
-    AblationMode.SWA_ONLY,
-    AblationMode.LA_ONLY,
-    AblationMode.SINKS_ONLY,
-    AblationMode.NO_ATTENTION,
-    AblationMode.HYBRID_OVERLAP,
-)
+ALL_MODES = tuple(AblationMode)  # the ablation order
 
 
 def recovered_performance(mode_avg, base_avg):

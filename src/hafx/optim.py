@@ -4,13 +4,15 @@ import numpy as np
 
 LR_FLOOR = 1e-8  # below this the learning rate is frozen
 BETAS = (0.9, 0.999)  # AdamW's first and second moment decay rates
+ADAM_EPS = 1e-8  # AdamW's denominator floor
+WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay
 PLATEAU_FACTOR = 0.5  # lr multiplier on a plateau
 PLATEAU_PATIENCE = 2  # evals without improvement that a plateau tolerates
 PLATEAU_MIN_DELTA = 1e-4  # the smallest drop in the metric that counts as improvement
 
 
 class AdamW:
-    def __init__(self, params, lr, eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr, eps=ADAM_EPS, weight_decay=WEIGHT_DECAY):
         # params: dict name -> Tensor; order fixed by sorted name for determinism
         self.params = dict(sorted(params.items()))
         self.lr = float(lr)

@@ -21,7 +21,7 @@ from .convert import (
     run_finetune,
 )
 from .errors import ConfigError, ContractError, HafxError
-from .evalbench import ALL_MODES, AblationMode, benchmark_scaling, evaluate_ablations, mode_scores
+from .evalbench import ALL_MODES, AblationMode, evaluate_ablations, mode_scores
 from .model import init_model
 from .tasks import gen_task, merge_datasets
 
@@ -131,13 +131,21 @@ def _save_stage(out, model, report):
     return path
 
 
-def _check_la_context(cfg: RunConfig):
-    """Refuse a hybrid stage whose LA branch would see no key: without
-    `attn.overlap`, query t sees keys i <= t - window only."""
-    window = max([cfg["attn.window"], *cfg["ssd.window"]])
+def _check_la_context(cfg: RunConfig, keys, windows):
+    """Refuse a hybrid run whose LA branch would see no key at one of the
+    `windows` that config `keys` set: without `attn.overlap`, query t sees
+    keys i <= t - window only."""
+    window = max(windows)
     if not cfg["attn.overlap"] and window >= cfg["task.T"]:
-        raise ConfigError(f"attn.window / ssd.window {window} >= task.T {cfg['task.T']} "
+        raise ConfigError(f"{keys} {window} >= task.T {cfg['task.T']} "
                           "without attn.overlap: linear attention would see no key")
+
+
+def _checked_eval_windows(cfg: RunConfig, tasks):
+    """`eval_windows`, refused by `_check_la_context` if one bypasses LA."""
+    wins = eval_windows(cfg, tasks)
+    _check_la_context(cfg, "attn.window / eval.window", [w.window for w in wins.values()])
+    return wins
 
 
 def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
@@ -155,7 +163,7 @@ def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
 def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     """Attention transfer from the base checkpoint (trained first when none
     is given); writes `post-transfer.ckpt`."""
-    _check_la_context(cfg)
+    _check_la_context(cfg, "attn.window / ssd.window", [cfg["attn.window"], *cfg["ssd.window"]])
     out = _prepare_out(cfg)
     model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
     if model.phi is None:
@@ -180,7 +188,7 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=N
     if model.phi is None:
         raise ContractError(f"{ckpt} has no feature maps; fine-tuning starts from a "
                             "post-transfer checkpoint")
-    _check_la_context(cfg)
+    _check_la_context(cfg, "attn.window / ssd.window", [cfg["attn.window"], *cfg["ssd.window"]])
     out = _prepare_out(cfg)
     if model.lora is None:
         model.lora_attach(
@@ -207,9 +215,9 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
     fine-tuning from its `post-transfer.ckpt` for at most
     `train.stage2_epochs`, stopped early once the hybrid-vs-SWA-only eval
     gap closes."""
-    _, stage1 = cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
     evals = eval_datasets(cfg)
-    wins = eval_windows(cfg, evals)
+    wins = _checked_eval_windows(cfg, evals)
+    _, stage1 = cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
 
     def eval_gap_fn(m):
         hybrid, swa = (mode_scores(m, evals, mode, cfg.hybrid(), wins)
@@ -230,11 +238,11 @@ def cmd_ssd_run(cfg: RunConfig, base_ckpt=None):
 
 
 def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):
-    out = _prepare_out(cfg)
-    model, stage = load_model(ckpt)
     evals = eval_datasets(cfg)
-    report = evaluate_ablations(model, evals, cfg.hybrid(), eval_windows(cfg, evals),
-                                modes=modes, stage=stage)
+    wins = _checked_eval_windows(cfg, evals)
+    model, stage = load_model(ckpt)
+    out = _prepare_out(cfg)
+    report = evaluate_ablations(model, evals, cfg.hybrid(), wins, modes=modes, stage=stage)
     path = write_csv(
         os.path.join(out, csv_name),
         ("stage", "mode", "task", "metric", "value", "recovered_pct"),
@@ -243,16 +251,12 @@ def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):
     return report, path
 
 
-def cmd_eval(cfg: RunConfig, ckpt, mode=AblationMode.FULL_HYBRID, softmax=False):
-    model, stage = load_model(ckpt)
+def cmd_eval(cfg: RunConfig, ckpt, mode):
+    """{task: accuracy, loss, n} of `mode_scores` under ablation `mode`, or
+    under full softmax when `mode` is None, and the checkpoint's stage."""
     evals = eval_datasets(cfg)
-    scores = mode_scores(model, evals, None if softmax else mode, cfg.hybrid(),
-                         eval_windows(cfg, evals))
+    wins = eval_windows(cfg, evals) if mode is None else _checked_eval_windows(cfg, evals)
+    model, stage = load_model(ckpt)
+    scores = mode_scores(model, evals, mode, cfg.hybrid(), wins)
     return stage, {name: {"accuracy": acc, "loss": loss, "n": n}
                    for name, (acc, loss, n) in scores.items()}
-
-
-def cmd_bench(T_list, d=64, d_prime=8, reps=3, out_path="bench.csv", seed=0):
-    report = benchmark_scaling(T_list, d=d, d_prime=d_prime, reps=reps, seed=seed)
-    write_csv(out_path, ("path", "T", "median_ms", "aux_bytes"), report.rows)
-    return report

@@ -329,7 +329,7 @@ def test_eval_prints_evaluate_task_accuracy_per_task(tmp_path, monkeypatch, caps
     for flags, attn_of in (
         (["--mode", "la_only"],
          lambda task: AttnSettings("hybrid", AblationMode.LA_ONLY, windows[task], cfg.hybrid())),
-        (["--softmax"], lambda task: AttnSettings("softmax")),
+        (["--mode", "softmax"], lambda task: AttnSettings("softmax")),
     ):
         assert main(["eval", "--config", str(cfg_path), "--ckpt", ckpt] + flags) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -474,6 +474,29 @@ def base_checkpoint(tmp_path):
     return str(cfg), str(ckpt)
 
 
+@pytest.mark.parametrize("command", [["eval", "--ckpt"], ["finetune", "--ckpt"],
+                                     ["ablate", "--ckpt"], ["transfer", "--base-ckpt"]],
+                         ids=["eval", "finetune", "ablate", "transfer"])
+def test_missing_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    missing = str(tmp_path / "missing.ckpt")
+    assert main(command + [missing, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: cannot open: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["eval", "--mode", "bogus"],
+                                  ["ablate", "--modes", "la_only,bogus"], ["eval", "--softmax"]],
+                         ids=["eval-mode", "ablate-modes", "eval-softmax-flag"])
+def test_unknown_mode_is_a_usage_error(capsys, args):
+    """`--mode softmax` names full softmax; the `--softmax` flag is gone."""
+    assert main(args + ["--ckpt", "x.ckpt"]) == 2
+    err = capsys.readouterr().err
+    assert "usage: hafx" in err and ("bogus" in err or "--softmax" in err)
+
+
 @pytest.mark.parametrize("args", [["finetune"], ["eval", "--mode", "la_only"], ["ablate"]],
                          ids=["finetune", "eval", "ablate"])
 def test_hybrid_command_on_a_base_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys,
@@ -498,7 +521,7 @@ def test_finetune_refuses_a_base_checkpoint_before_any_set_up(tmp_path, monkeypa
 def test_softmax_eval_of_a_base_checkpoint_runs(tmp_path, monkeypatch, capsys):
     cfg, ckpt = base_checkpoint(tmp_path)
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
-    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--softmax"]) == 0
+    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--mode", "softmax"]) == 0
     assert capsys.readouterr().out.startswith("base assoc_recall: acc=")
 
 
@@ -514,7 +537,7 @@ def test_char_lm_task_longer_than_its_corpus_is_an_error_line(tmp_path, monkeypa
     with open(cfg, "w") as f:
         f.write(char_lm + "task.T = 2477\n")
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
-    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--softmax"]) == 1
+    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--mode", "softmax"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: task.T = 2477 ") and "2478-character" in err
 
@@ -558,15 +581,27 @@ def post_transfer_checkpoint(tmp_path):
     return str(ckpt)
 
 
-@pytest.mark.parametrize("command, text", [
-    (["transfer"], ""),
-    (["ssd-run"], ""),
-    (["ssd-run"], CRITERION9 + "ssd.window = 4,16\n"),
-    (["finetune", "--ckpt"], CRITERION9 + "attn.window = 16\n"),
-], ids=["transfer-defaults", "ssd-run-defaults", "ssd-window-T", "finetune-window-T"])
-def test_window_that_leaves_la_no_key_is_refused(tmp_path, monkeypatch, capsys, command, text):
+# the collapse probe's eval window reaches task.T, so LA sees no key
+WIDE_EVAL = CRITERION9 + "attn.window = 16\neval.window = 16\n"
+STAGE_KEYS, EVAL_KEYS = "attn.window / ssd.window", "attn.window / eval.window"
+
+
+@pytest.mark.parametrize("command, text, keys", [
+    (["transfer"], "", STAGE_KEYS),
+    (["ssd-run"], "", STAGE_KEYS),
+    (["ssd-run"], CRITERION9 + "ssd.window = 4,16\n", STAGE_KEYS),
+    (["finetune", "--ckpt"], CRITERION9 + "attn.window = 16\n", STAGE_KEYS),
+    (["ablate", "--ckpt"], WIDE_EVAL, EVAL_KEYS),
+    (["eval", "--mode", "la_only", "--ckpt"], WIDE_EVAL, EVAL_KEYS),
+    (["hedgecats"], CRITERION9 + "eval.window = 16\n", EVAL_KEYS),
+], ids=["transfer-defaults", "ssd-run-defaults", "ssd-window-T", "finetune-window-T",
+        "ablate-eval-window-T", "eval-eval-window-T", "hedgecats-eval-window-T"])
+def test_window_that_leaves_la_no_key_is_refused(tmp_path, monkeypatch, capsys, command, text,
+                                                 keys):
     """Without attn.overlap, query t sees LA keys i <= t - window only, so a
-    window of task.T or more would bypass LA; no stage runs or writes."""
+    stage or eval window of task.T or more would bypass LA, and an ablation
+    would read as collapse whatever the checkpoint holds; nothing runs or
+    writes."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     if command[-1] == "--ckpt":
@@ -575,15 +610,24 @@ def test_window_that_leaves_la_no_key_is_refused(tmp_path, monkeypatch, capsys, 
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
     assert main(command + ["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: attn.window / ssd.window ") and "task.T" in err
+    assert err.startswith(f"error: {keys} 16 >= task.T 16 " if text else f"error: {keys} ")
     assert not out.exists()
+
+
+def test_softmax_eval_at_a_wide_eval_window_runs(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(WIDE_EVAL)
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    command = ["eval", "--mode", "softmax", "--config", str(cfg)]
+    assert main(command + ["--ckpt", post_transfer_checkpoint(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("post-transfer assoc_recall: acc=")
 
 
 def test_overlap_gives_la_every_key_so_a_wide_window_passes():
     from hafx.pipelines import _check_la_context
 
-    _check_la_context(parse_config("attn.overlap = true\n"))
-    _check_la_context(parse_config("attn.window = 63\nssd.window = 8,63\n"))
+    _check_la_context(parse_config("attn.overlap = true\n"), STAGE_KEYS, [64])
+    _check_la_context(parse_config(""), STAGE_KEYS, [8, 63])
 
 
 def test_finetune_without_ssd_never_drops_a_step(tmp_path, monkeypatch):

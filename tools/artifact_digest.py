@@ -10,7 +10,10 @@ to this script), and OUT_DIR must not exist yet. Each config runs
 `cmd_ssd_run` and `cmd_ablate` on its fine-tuned checkpoint, then
 `cmd_hedgecats` from the same base checkpoint and `cmd_ablate` on the
 HedgeCATs post-finetune and post-transfer checkpoints, and `cmd_eval` on
-the ssd run's fine-tuned checkpoint under full softmax and under LA only.
+the ssd run's fine-tuned checkpoint under full softmax (mode None) and
+under LA only. Both `cmd_eval(cfg, ckpt, mode)` calls read the same way
+on a tree whose `cmd_eval` still takes a `softmax` flag, so one script
+diffs trees from either side of that change.
 The output is one `sha256  path` line per `.ckpt`/`.csv` file, then every
 `stages.jsonl` record with `wall_time_s` dropped and paths made relative to
 OUT_DIR, then one `config/eval-mode: stage task accuracy loss n` line per
@@ -70,10 +73,8 @@ def run_config(pipelines, cfg, out):
     pipelines.cmd_ssd_run(cfg)
     pipelines.cmd_ablate(cfg, os.path.join(ssd, "post-finetune.ckpt"))
     evals = []
-    for label, kwargs in (("softmax", {"softmax": True}),
-                          ("la_only", {"mode": pipelines.AblationMode.LA_ONLY})):
-        stage, results = pipelines.cmd_eval(cfg, os.path.join(ssd, "post-finetune.ckpt"),
-                                            **kwargs)
+    for label, mode in (("softmax", None), ("la_only", pipelines.AblationMode.LA_ONLY)):
+        stage, results = pipelines.cmd_eval(cfg, os.path.join(ssd, "post-finetune.ckpt"), mode)
         evals += [f"{os.path.basename(out)}/eval-{label}: {stage} {task} {r['accuracy']!r} "
                   f"{r['loss']!r} {r['n']}" for task, r in results.items()]
     os.environ["HAFX_OUTPUT_DIR"] = hedge
