@@ -82,11 +82,7 @@ def save_checkpoint(path, tensors, meta, stage):
 
 def load_checkpoint(path):
     """Returns (tensors: dict[str, float32 array], meta: dict)."""
-    try:
-        f = open(path, "rb")
-    except OSError as e:  # missing, unreadable or a directory
-        raise CheckpointError(f"{path}: cannot open: {e.strerror}") from e
-    with f:
+    with open(path, "rb") as f:
         if _read_exact(f, 4) != MAGIC:
             raise BadMagicError(f"{path}: bad magic")
         (version,) = struct.unpack("<I", _read_exact(f, 4))

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .config import RunConfig, load_config, parse_config
-from .errors import HafxError
+from .errors import HafxError, InputError
 from .evalbench import ALL_MODES, AblationMode, benchmark_scaling
 
 
@@ -28,6 +28,17 @@ def _modes(text):
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"{e}; the modes are all or "
                                          f"{', '.join(m.value for m in AblationMode)}") from e
+
+
+def _lengths(text):
+    """`bench --T`: comma-separated positive sequence lengths."""
+    try:
+        T_list = [int(t) for t in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{e}; --T takes comma-separated ints") from e
+    if min(T_list) < 1:
+        raise argparse.ArgumentTypeError(f"{min(T_list)} is not a positive length")
+    return T_list
 
 
 def build_parser():
@@ -61,15 +72,12 @@ def build_parser():
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--modes", default="all", type=_modes)
 
-    sp = add("bench", "linear vs quadratic scaling benchmark")
-    sp.add_argument("--T", default="256,512,1024")
-    sp.add_argument("--d", type=int, default=64)
-    sp.add_argument("--d-prime", type=int, default=8)
+    sp = sub.add_parser("bench", help="linear vs quadratic scaling benchmark")
+    sp.add_argument("--T", default="256,512,1024", type=_lengths)
     sp.add_argument("--reps", type=int, default=3)
     sp.add_argument("--out", default="bench.csv")
-    sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("report", "pretty-print an ablation CSV as a table")
+    sp = sub.add_parser("report", help="pretty-print an ablation CSV as a table")
     sp.add_argument("csv", nargs="+")
     return p
 
@@ -99,9 +107,7 @@ def _run(args):
         print(f"wrote {path}")
         _print_table(report)
     elif args.command == "bench":
-        T_list = [int(t) for t in args.T.split(",")]
-        report = benchmark_scaling(T_list, d=args.d, d_prime=args.d_prime, reps=args.reps,
-                                   seed=args.seed)
+        report = benchmark_scaling(args.T, args.reps)
         pipelines.write_csv(args.out, ("path", "T", "median_ms", "aux_bytes"), report.rows)
         for path, T, ms, aux in report.rows:
             print(f"{path:20s} T={T:<6d} {ms:10.3f} ms  aux={aux} B")
@@ -130,9 +136,13 @@ def _print_table(report):
 
 def _print_csvs(paths):
     for path in paths:
-        with open(path) as f:
-            for line in f:
-                print(line.rstrip("\n").replace(",", "\t"))
+        with open(path, encoding="utf-8") as f:
+            try:
+                lines = list(f)
+            except UnicodeDecodeError as e:
+                raise InputError(f"{path}: not UTF-8 text: {e}") from e
+        for line in lines:
+            print(line.rstrip("\n").replace(",", "\t"))
 
 
 def main(argv=None):
@@ -145,6 +155,10 @@ def main(argv=None):
         return _run(args)
     except HafxError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # a path that is missing, unreadable or unwritable
+        where = "" if e.filename is None else f"{e.filename}: cannot open: "
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 1
 
 

@@ -202,6 +202,11 @@ def parse_config(text) -> RunConfig:
         cfg.model_config()
     except ShapeError as e:
         raise ConfigError(f"model.d_model / model.n_heads: {e}") from e
+    try:
+        cfg.task_specs()
+        cfg.transfer_specs()
+    except ConfigError as e:
+        raise ConfigError(f"task.*: {e}") from e
     return cfg
 
 
@@ -211,9 +216,9 @@ def serialise_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path) as f:
+    with open(path, encoding="utf-8") as f:
+        try:
             text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     return parse_config(text)

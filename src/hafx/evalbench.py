@@ -15,6 +15,7 @@ from .rng import SeededRng
 from .tensor import Tensor
 
 ALL_MODES = tuple(AblationMode)  # the ablation order
+BENCH_D, BENCH_D_PRIME = 64, 8  # the scaling benchmark's head width and feature count
 
 
 def recovered_performance(mode_avg, base_avg):
@@ -182,7 +183,7 @@ class BenchReport:
         return out
 
 
-def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
+def benchmark_scaling(T_list, reps):
     """Wall times for the chunked-LA and quadratic-softmax paths.
 
     Every (path, T) case is timed once per round in `reps` interleaved
@@ -193,8 +194,9 @@ def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
 
     The chunked path runs `linear_attention` on numpy inputs wrapped in
     Tensors; its auxiliary state is the fixed (S, z) accumulator pair it
-    carries across chunks, F x d plus F float64s for F = 2 * d_prime
-    features. The quadratic path materialises the T x T score matrix.
+    carries across chunks, F x d plus F float64s for d = BENCH_D and
+    F = 2 * BENCH_D_PRIME features. The quadratic path materialises the
+    T x T score matrix.
     """
     if reps < 3:
         raise ContractError("benchmark requires >= 3 repetitions")
@@ -202,8 +204,8 @@ def benchmark_scaling(T_list, d=64, d_prime=8, reps=3, seed=0):
     def chunked_la(phi_q, phi_k, v):
         return linear_attention(Tensor(phi_q), Tensor(phi_k), Tensor(v)).data
 
-    rng = SeededRng(seed, "bench")
-    F = 2 * d_prime
+    rng = SeededRng(0, "bench")
+    d, F = BENCH_D, 2 * BENCH_D_PRIME
     stream_aux = (F * d + F) * 8
     cases = {}  # (path, T) -> (fn, aux_bytes)
     for T in sorted(T_list):

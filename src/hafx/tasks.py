@@ -55,6 +55,9 @@ class TaskSpec:
             raise ConfigError("min_pairs must lie in [1, n_pairs]")
         if self.kind == "copy" and self.T < 5:
             raise ConfigError("T too small for the copy pattern")
+        if self.kind == "copy" and CHAR_OFFSET + self.copy_symbols > self.vocab:
+            raise ConfigError(f"copy ids {CHAR_OFFSET}..{CHAR_OFFSET + self.copy_symbols - 1} "
+                              f"exceed the vocabulary of {self.vocab}")
         if 2 + self.n_keys + self.n_values > self.vocab:
             raise ConfigError("key/value ids exceed the vocabulary")
 

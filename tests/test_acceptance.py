@@ -403,7 +403,7 @@ def test_criterion_7_scaling_benchmark():
     not grow with T.
     """
     t0 = time.perf_counter()
-    bench = benchmark_scaling([512, 1024, 2048], d=64, d_prime=8, reps=5)
+    bench = benchmark_scaling([512, 1024, 2048], reps=5)
     elapsed = time.perf_counter() - t0
     stream_path = next(p for p, *_ in bench.rows if p.startswith("streaming-"))
     stream = bench.ratios(stream_path)

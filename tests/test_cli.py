@@ -171,8 +171,7 @@ def test_bad_config_value_exit_code(tmp_path, capsys):
 
 def test_bench_cli_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    rc = main(["bench", "--T", "64,128", "--d", "16", "--d-prime", "4",
-               "--reps", "3", "--out", str(out)])
+    rc = main(["bench", "--T", "64,128", "--reps", "3", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,T,median_ms,aux_bytes"
@@ -186,6 +185,69 @@ def test_report_cli_prints_csv(tmp_path, capsys):
     assert main(["report", str(path)]) == 0
     out = capsys.readouterr().out
     assert "a\tb" in out and "0.500000" in out
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    """The CLI's option strings, 19 in all: adding or removing an option
+    means updating this list."""
+    import argparse
+
+    from hafx.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [a.option_strings[0] if a.option_strings else a.dest
+                      for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+               for name, sp in sub.choices.items()}
+    assert options == {
+        "transfer": ["--config", "--base-ckpt"],
+        "finetune": ["--config", "--ckpt", "--ssd"],
+        "hedgecats": ["--config", "--base-ckpt"],
+        "ssd-run": ["--config", "--base-ckpt"],
+        "eval": ["--config", "--ckpt", "--mode"],
+        "ablate": ["--config", "--ckpt", "--modes"],
+        "bench": ["--T", "--reps", "--out"],
+        "report": ["csv"],
+    }
+    assert sum(map(len, options.values())) == 19
+
+
+@pytest.mark.parametrize("args", [["bench", "--T", "64,abc"], ["bench", "--T", "0"],
+                                  ["bench", "--T", "-4"], ["bench", "--config", "x.cfg"],
+                                  ["report", "--config", "x.cfg", "a.csv"]],
+                         ids=["T-not-an-int", "T-zero", "T-negative", "bench-config",
+                              "report-config"])
+def test_bench_and_report_usage_errors(tmp_path, monkeypatch, capsys, args):
+    """`bench --T` takes positive ints; neither command reads a config."""
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "usage: hafx" in err and ("--T" in err or "--config" in err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_of_a_missing_csv_is_an_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "nothere.csv")
+    assert main(["report", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: cannot open: ") and "Traceback" not in err
+
+
+def test_bench_into_a_missing_directory_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "b.csv"
+    assert main(["bench", "--T", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}") and "cannot open: " in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_non_utf8_config_and_csv_are_error_lines_naming_the_file(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"seed = 1\n\xff\xfe\x00\x80\n")
+    assert main(["eval", "--config", str(binary), "--ckpt", "x.ckpt"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {binary}: not UTF-8 text: ")
+    assert main(["report", str(binary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {binary}: not UTF-8 text: ") and captured.out == ""
 
 
 def test_write_csv_fixed_float_format(tmp_path):
@@ -567,6 +629,20 @@ def test_odd_head_width_is_an_error_line_before_any_write(tmp_path, monkeypatch,
     assert main(["transfer", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "model.d_model" in err and "model.n_heads" in err
+    assert not out.exists()
+
+
+def test_copy_alphabet_beyond_the_vocabulary_is_an_error_line_before_any_write(
+        tmp_path, monkeypatch, capsys):
+    """Copy symbols take ids 2..17, so a vocabulary of 10 cannot hold them,
+    though it holds the 4 keys and 4 values; the parser refuses the config."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9 + "model.vocab_size = 10\ntask.kinds = copy\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["transfer", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task.*: copy ids 2..17 exceed the vocabulary of 10")
     assert not out.exists()
 
 

@@ -294,20 +294,20 @@ def test_benchmark_rejects_too_few_reps():
 
 
 def test_benchmark_rows_and_constant_aux_state():
-    report = benchmark_scaling([64, 128], d=16, d_prime=4, reps=3)
+    report = benchmark_scaling([64, 128], reps=3)
     paths = {p for p, *_ in report.rows}
     assert "quadratic-softmax" in paths
     assert any(p.startswith("streaming-") for p in paths)
     stream_aux = {aux for p, _T, _ms, aux in report.rows if p.startswith("streaming-")}
     assert len(stream_aux) == 1  # T-independent
     # S accumulator (2 d' x d_v) plus z accumulator (2 d'), float64
-    assert stream_aux == {(2 * 4 * 16 + 2 * 4) * 8}
+    assert stream_aux == {(2 * 8 * 64 + 2 * 8) * 8}
     quad_aux = sorted(aux for p, _T, _ms, aux in report.rows if p == "quadratic-softmax")
     assert quad_aux == [64 * 64 * 8, 128 * 128 * 8]
 
 
 def test_benchmark_ratio_helper():
-    report = benchmark_scaling([64, 128], d=16, d_prime=4, reps=3)
+    report = benchmark_scaling([64, 128], reps=3)
     ratios = report.ratios("quadratic-softmax")
     assert set(ratios) == {64}
     assert ratios[64] > 0
