@@ -50,7 +50,11 @@ def atomic_open(path, mode="w", **kwargs):
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as f:
+        f = open(tmp, mode, **kwargs)
+    except OSError as e:  # name the path the caller gave, not its temporary file
+        raise OSError(e.errno, e.strerror, str(path)) from e
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -2,10 +2,11 @@
 
 Subcommands: transfer, finetune, hedgecats, ssd-run, eval, ablate, bench,
 report. Every pipeline is driven by a `key = value` config file (see
-configs/ for the shipped recipes); flags override file paths and modes.
+configs/ for the shipped recipes); flags name checkpoints, modes and outputs.
 """
 
 import argparse
+import os
 import sys
 
 from .config import RunConfig, load_config, parse_config
@@ -55,7 +56,6 @@ def build_parser():
 
     sp = add("finetune", "LoRA fine-tuning from a post-transfer checkpoint")
     sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--ssd", action="store_true", help="apply the SSD schedule")
 
     sp = add("hedgecats", "two-stage weights-transfer + hybrid LoRA pipeline")
     sp.add_argument("--base-ckpt")
@@ -89,7 +89,7 @@ def _run(args):
         _, report = pipelines.cmd_transfer(_config(args), base_ckpt=args.base_ckpt)
         print(f"transfer losses: {report.epoch_losses}")
     elif args.command == "finetune":
-        _, report = pipelines.cmd_finetune(_config(args), args.ckpt, use_ssd=args.ssd)
+        _, report = pipelines.cmd_finetune(_config(args), args.ckpt)
         print(f"finetune losses: {report.epoch_losses}")
     elif args.command == "hedgecats":
         _, (s1, s2) = pipelines.cmd_hedgecats(_config(args), base_ckpt=args.base_ckpt)
@@ -107,6 +107,8 @@ def _run(args):
         print(f"wrote {path}")
         _print_table(report)
     elif args.command == "bench":
+        if not os.path.isdir(os.path.dirname(args.out) or "."):  # before timing, not after
+            raise InputError(f"{args.out}: cannot open: its directory does not exist")
         report = benchmark_scaling(args.T, args.reps)
         pipelines.write_csv(args.out, ("path", "T", "median_ms", "aux_bytes"), report.rows)
         for path, T, ms, aux in report.rows:

@@ -218,7 +218,8 @@ def serialise_config(cfg: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as f:
         try:
-            text = f.read()
+            return parse_config(f.read())
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
-    return parse_config(text)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from e

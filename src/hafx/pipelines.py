@@ -14,8 +14,6 @@ from .attention import WindowSpec
 from .checkpoint import atomic_open, load_model, save_model
 from .config import RunConfig, serialise_config
 from .convert import (
-    SSDSchedule,
-    TransferObjective,
     run_attention_transfer,
     run_base_training,
     run_finetune,
@@ -160,9 +158,9 @@ def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
     return _save_stage(out, model, report)
 
 
-def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
-    """Attention transfer from the base checkpoint (trained first when none
-    is given); writes `post-transfer.ckpt`."""
+def cmd_transfer(cfg: RunConfig, base_ckpt=None):
+    """Attention transfer per `objective` from the base checkpoint (trained
+    first when none is given); writes `post-transfer.ckpt`."""
     _check_la_context(cfg, "attn.window / ssd.window", [cfg["attn.window"], *cfg["ssd.window"]])
     out = _prepare_out(cfg)
     model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
@@ -171,18 +169,17 @@ def cmd_transfer(cfg: RunConfig, base_ckpt=None, objective=None):
     # attention transfer has no held-out eval; the eval split is built only
     # because the train split excludes its rows
     conv_train, _conv_eval = conversion_datasets(cfg)
-    report = run_attention_transfer(model, objective or cfg.objective(), cfg.train_config(),
+    report = run_attention_transfer(model, cfg.objective(), cfg.train_config(),
                                     conv_train["tokens"], cfg.window(), cfg.hybrid(),
                                     cfg["train.transfer_epochs"])
     _save_stage(out, model, report)
     return model, report
 
 
-def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=None):
+def cmd_finetune(cfg: RunConfig, ckpt, eval_gap_fn=None):
     """LoRA fine-tuning from a post-transfer checkpoint, attaching the
-    configured adapters if it has none, for `epochs` epochs
-    (`train.finetune_epochs` when None), under the `ssd.*` schedule with
-    `use_ssd` and else SSD at rate 0, with an optional early stop
+    configured adapters if it has none, for `train.finetune_epochs` under the
+    `ssd.*` schedule (SSD at rate 0 without one), with an optional early stop
     (`convert.run_finetune`); checkpoints every epoch and the final model."""
     model, _stage = load_model(ckpt)
     if model.phi is None:
@@ -201,23 +198,23 @@ def cmd_finetune(cfg: RunConfig, ckpt, use_ssd=False, epochs=None, eval_gap_fn=N
         save_model(path, m, "post-finetune")
         return path
 
-    ssd = cfg.ssd() if use_ssd else SSDSchedule([0.0], [cfg["attn.window"]])
-    report = run_finetune(model, cfg.train_config(), ssd,
-                          conv_train, conv_eval, cfg.window(), cfg.hybrid(),
-                          cfg["train.finetune_epochs"] if epochs is None else epochs,
+    report = run_finetune(model, cfg.train_config(), cfg.ssd(), conv_train, conv_eval,
+                          cfg.window(), cfg.hybrid(), cfg["train.finetune_epochs"],
                           checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)
     _save_stage(out, model, report)
     return model, report
 
 
 def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
-    """HedgeCATs: weights-CE attention transfer, then hybrid LoRA
-    fine-tuning from its `post-transfer.ckpt` for at most
-    `train.stage2_epochs`, stopped early once the hybrid-vs-SWA-only eval
-    gap closes."""
+    """HedgeCATs: weights-CE attention transfer, then LoRA fine-tuning
+    without SSD from its `post-transfer.ckpt` for `train.stage2_epochs` at
+    most, stopped once the hybrid-vs-SWA-only eval gap closes. Both stages
+    run on the config that says so, which `run.cfg` records."""
     evals = eval_datasets(cfg)
     wins = _checked_eval_windows(cfg, evals)
-    _, stage1 = cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
+    cfg = RunConfig(dict(cfg.values, objective="weights_ce", **{
+        "ssd.dropout": [], "ssd.window": [], "train.finetune_epochs": cfg["train.stage2_epochs"]}))
+    _, stage1 = cmd_transfer(cfg, base_ckpt)
 
     def eval_gap_fn(m):
         hybrid, swa = (mode_scores(m, evals, mode, cfg.hybrid(), wins)
@@ -225,16 +222,14 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
         gaps = [hybrid[name][0] - swa[name][0] for name in evals]
         return sum(gaps) / len(gaps)
 
-    model, stage2 = cmd_finetune(cfg, stage1.checkpoints[-1],
-                                 epochs=cfg["train.stage2_epochs"], eval_gap_fn=eval_gap_fn)
+    model, stage2 = cmd_finetune(cfg, stage1.checkpoints[-1], eval_gap_fn=eval_gap_fn)
     return model, (stage1, stage2)
 
 
 def cmd_ssd_run(cfg: RunConfig, base_ckpt=None):
-    """Transfer per the configured objective, then LoRA fine-tuning under
-    the configured dropout/window schedule."""
+    """`cmd_transfer`, then `cmd_finetune` on the checkpoint it wrote."""
     _, transfer = cmd_transfer(cfg, base_ckpt=base_ckpt)
-    return cmd_finetune(cfg, transfer.checkpoints[-1], use_ssd=True)
+    return cmd_finetune(cfg, transfer.checkpoints[-1])
 
 
 def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):

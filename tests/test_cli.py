@@ -137,6 +137,24 @@ def test_load_config(tmp_path):
     assert load_config(p)["seed"] == 11
 
 
+def test_shipped_recipes_parse_with_the_commands_they_list():
+    """Every `configs/*.cfg` parses, and every `hafx ...` line of its header
+    comment parses with the CLI's parser."""
+    import glob
+
+    from hafx.cli import build_parser
+
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+    assert paths
+    for path in paths:
+        load_config(path)
+        with open(path) as f:
+            commands = [line.split()[2:] for line in f if line.split()[1:2] == ["hafx"]]
+        assert commands, path
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -160,13 +178,14 @@ def test_missing_config_file_is_error(capsys):
     capsys.readouterr()
 
 
-def test_bad_config_value_exit_code(tmp_path, capsys):
-    p = tmp_path / "bad.cfg"
-    p.write_text("attn.g = 1.5\n")
-    rc = main(["eval", "--config", str(p), "--ckpt", "x.ckpt"])
+def test_bad_config_value_exit_code(tmp_path, monkeypatch, capsys):
+    """A config file's parse error names the file and the line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("seed = 1\nattn.g = 1.5\n")
+    rc = main(["eval", "--config", "bad.cfg", "--ckpt", "x.ckpt"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "attn.g" in err
+    assert err == "error: bad.cfg: line 2: value out of range for 'attn.g': 1.5\n"
 
 
 def test_bench_cli_writes_csv(tmp_path, capsys):
@@ -188,7 +207,7 @@ def test_report_cli_prints_csv(tmp_path, capsys):
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():
-    """The CLI's option strings, 19 in all: adding or removing an option
+    """The CLI's option strings, 18 in all: adding or removing an option
     means updating this list."""
     import argparse
 
@@ -200,7 +219,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
                for name, sp in sub.choices.items()}
     assert options == {
         "transfer": ["--config", "--base-ckpt"],
-        "finetune": ["--config", "--ckpt", "--ssd"],
+        "finetune": ["--config", "--ckpt"],
         "hedgecats": ["--config", "--base-ckpt"],
         "ssd-run": ["--config", "--base-ckpt"],
         "eval": ["--config", "--ckpt", "--mode"],
@@ -208,7 +227,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "bench": ["--T", "--reps", "--out"],
         "report": ["csv"],
     }
-    assert sum(map(len, options.values())) == 19
+    assert sum(map(len, options.values())) == 18
 
 
 @pytest.mark.parametrize("args", [["bench", "--T", "64,abc"], ["bench", "--T", "0"],
@@ -232,11 +251,19 @@ def test_report_of_a_missing_csv_is_an_error_line(tmp_path, capsys):
     assert err.startswith(f"error: {missing}: cannot open: ") and "Traceback" not in err
 
 
-def test_bench_into_a_missing_directory_is_an_error_line(tmp_path, capsys):
+def test_bench_into_a_missing_directory_is_an_error_line(tmp_path, monkeypatch, capsys):
+    """`hafx bench` refuses the path before it times anything, and an atomic
+    write names the path it was given, not its temporary file."""
+    import hafx.cli
+
     out = tmp_path / "missing" / "b.csv"
+    monkeypatch.setattr(hafx.cli, "benchmark_scaling", lambda *a: pytest.fail("timed"))
     assert main(["bench", "--T", "64", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}") and "cannot open: " in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: cannot open: ") and captured.out == ""
+    with pytest.raises(FileNotFoundError) as e:
+        write_csv(str(out), ("x",), [])
+    assert e.value.filename == str(out)
     assert not (tmp_path / "missing").exists()
 
 
@@ -309,7 +336,7 @@ def test_ssd_run_resumes_from_the_saved_transfer_checkpoint(tmp_path, monkeypatc
     cmd_ssd_run(cfg)
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(apart))
     cmd_transfer(cfg)
-    cmd_finetune(cfg, str(apart / "post-transfer.ckpt"), use_ssd=True)
+    cmd_finetune(cfg, str(apart / "post-transfer.ckpt"))
     for name in ("post-transfer.ckpt", "post-finetune.ckpt"):
         assert (together / name).read_bytes() == (apart / name).read_bytes(), name
 
@@ -457,7 +484,7 @@ def test_hedgecats_is_weights_ce_transfer_then_early_stopped_finetune(tmp_path, 
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(hedge))
     cmd_hedgecats(cfg, base_ckpt=base_ckpt)
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(transfer))
-    cmd_transfer(cfg, base_ckpt, TransferObjective.WEIGHTS_CE)
+    cmd_transfer(parse_config(CRITERION9 + "objective = weights_ce\n"), base_ckpt)
 
     name = "post-transfer.ckpt"
     assert (hedge / name).read_bytes() == (transfer / name).read_bytes()
@@ -476,7 +503,7 @@ def test_hedgecats_is_weights_ce_transfer_then_early_stopped_finetune(tmp_path, 
     assert all(os.path.exists(p) for p in finetune["checkpoints"])
 
 
-@pytest.mark.parametrize("objective", [None, TransferObjective.WEIGHTS_CE],
+@pytest.mark.parametrize("objective", ["", "objective = weights_ce\n"],
                          ids=["configured", "weights_ce"])
 def test_transfer_from_scratch_starts_from_its_base_checkpoint(tmp_path, monkeypatch,
                                                                objective):
@@ -484,30 +511,49 @@ def test_transfer_from_scratch_starts_from_its_base_checkpoint(tmp_path, monkeyp
     wrote, so a transfer resumed from that file writes the same bytes."""
     from hafx.pipelines import cmd_transfer
 
-    cfg = parse_config(CRITERION9)
+    cfg = parse_config(CRITERION9 + objective)
     scratch, resumed = tmp_path / "scratch", tmp_path / "resumed"
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(scratch))
-    cmd_transfer(cfg, None, objective)
+    cmd_transfer(cfg)
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(resumed))
-    cmd_transfer(cfg, str(scratch / "base.ckpt"), objective)
+    cmd_transfer(cfg, str(scratch / "base.ckpt"))
     name = "post-transfer.ckpt"
     assert (scratch / name).read_bytes() == (resumed / name).read_bytes()
 
 
-def test_hedgecats_finetunes_from_its_post_transfer_checkpoint(tmp_path, monkeypatch):
-    """HedgeCATs' fine-tune stage starts from the post-transfer.ckpt it
-    wrote: with one epoch in both, its post-finetune.ckpt equals `hafx
-    finetune` run on that file."""
-    from hafx.pipelines import cmd_finetune, cmd_hedgecats
+def test_hedgecats_run_cfg_records_what_ran(tmp_path, monkeypatch):
+    """HedgeCATs' run.cfg is the config both of its stages ran: weights-CE
+    transfer, no SSD schedule, and `train.stage2_epochs` fine-tune epochs."""
+    from hafx.pipelines import cmd_hedgecats
 
-    cfg = parse_config(CRITERION9 + "train.stage2_epochs = 1\n")
-    hedge, apart = tmp_path / "hedge", tmp_path / "apart"
-    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(hedge))
+    cfg = parse_config(CRITERION9 + "train.stage2_epochs = 2\n")
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
     cmd_hedgecats(cfg)
-    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(apart))
-    cmd_finetune(cfg, str(hedge / "post-transfer.ckpt"))
-    name = "post-finetune.ckpt"
-    assert (hedge / name).read_bytes() == (apart / name).read_bytes()
+    ran = load_config(tmp_path / "run.cfg")
+    assert ran.objective() is TransferObjective.WEIGHTS_CE
+    assert ran["ssd.dropout"] == [] and ran["ssd.window"] == []
+    assert ran["train.finetune_epochs"] == 2
+    changed = {key for key in SCHEMA if ran[key] != cfg[key]}
+    assert changed == {"objective", "ssd.dropout", "ssd.window", "train.finetune_epochs"}
+
+
+def test_hedgecats_finetunes_from_its_post_transfer_checkpoint(tmp_path, monkeypatch, capsys):
+    """HedgeCATs' fine-tune stage starts from the post-transfer.ckpt it
+    wrote: with one epoch, `hafx transfer` from its base.ckpt and then `hafx
+    finetune`, both on its run.cfg, write its two checkpoints."""
+    from hafx.pipelines import cmd_hedgecats
+
+    hedge, replay = tmp_path / "hedge", tmp_path / "replay"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(hedge))
+    cmd_hedgecats(parse_config(CRITERION9 + "train.stage2_epochs = 1\n"))
+    run_cfg = str(hedge / "run.cfg")
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(replay))
+    assert main(["transfer", "--config", run_cfg, "--base-ckpt", str(hedge / "base.ckpt")]) == 0
+    ckpt = str(replay / "post-transfer.ckpt")
+    assert main(["finetune", "--config", run_cfg, "--ckpt", ckpt]) == 0
+    capsys.readouterr()
+    for name in ("post-transfer.ckpt", "post-finetune.ckpt"):
+        assert (hedge / name).read_bytes() == (replay / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune", "ablate"])
@@ -550,13 +596,16 @@ def test_missing_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("args", [["eval", "--mode", "bogus"],
-                                  ["ablate", "--modes", "la_only,bogus"], ["eval", "--softmax"]],
-                         ids=["eval-mode", "ablate-modes", "eval-softmax-flag"])
+                                  ["ablate", "--modes", "la_only,bogus"], ["eval", "--softmax"],
+                                  ["finetune", "--ssd"]],
+                         ids=["eval-mode", "ablate-modes", "eval-softmax-flag",
+                              "finetune-ssd-flag"])
 def test_unknown_mode_is_a_usage_error(capsys, args):
-    """`--mode softmax` names full softmax; the `--softmax` flag is gone."""
+    """`--mode softmax` names full softmax, and `finetune` follows the
+    config's `ssd.*` keys; the `--softmax` and `--ssd` flags are gone."""
     assert main(args + ["--ckpt", "x.ckpt"]) == 2
     err = capsys.readouterr().err
-    assert "usage: hafx" in err and ("bogus" in err or "--softmax" in err)
+    assert "usage: hafx" in err and ("bogus" in err or args[-1] in err)
 
 
 @pytest.mark.parametrize("args", [["finetune"], ["eval", "--mode", "la_only"], ["ablate"]],
@@ -642,7 +691,7 @@ def test_copy_alphabet_beyond_the_vocabulary_is_an_error_line_before_any_write(
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
     assert main(["transfer", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: task.*: copy ids 2..17 exceed the vocabulary of 10")
+    assert err.startswith(f"error: {cfg}: task.*: copy ids 2..17 exceed the vocabulary of 10")
     assert not out.exists()
 
 
@@ -706,9 +755,9 @@ def test_overlap_gives_la_every_key_so_a_wide_window_passes():
     _check_la_context(parse_config(""), STAGE_KEYS, [8, 63])
 
 
-def test_finetune_without_ssd_never_drops_a_step(tmp_path, monkeypatch):
-    """`hafx finetune` without --ssd is SSD at rate 0 and reads no `ssd.*`
-    key: a config's dropout of 1.0 applies only with --ssd."""
+def test_finetune_follows_the_ssd_keys(tmp_path, monkeypatch):
+    """`hafx finetune` runs the config's `ssd.*` schedule: at dropout 1.0
+    every step drops SWA, and with no `ssd.*` key (SSD at rate 0) none does."""
     import hafx.convert as convert
 
     seen = []
@@ -721,11 +770,14 @@ def test_finetune_without_ssd_never_drops_a_step(tmp_path, monkeypatch):
 
     monkeypatch.setattr(convert, "ssd_sample", spy)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CRITERION9 + "ssd.dropout = 1.0\n")
     ckpt = post_transfer_checkpoint(tmp_path)
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
+    cfg.write_text(CRITERION9 + "ssd.dropout = 1.0\n")
+    assert main(["finetune", "--config", str(cfg), "--ckpt", ckpt]) == 0
+    assert seen and all(drop for drop, _window in seen)
+    seen.clear()
+    no_ssd = CRITERION9.replace("ssd.dropout = 0.5\nssd.window = 4,8\n", "")
+    assert "ssd." not in no_ssd
+    cfg.write_text(no_ssd)
     assert main(["finetune", "--config", str(cfg), "--ckpt", ckpt]) == 0
     assert seen and seen == [(False, 8)] * len(seen)
-    seen.clear()
-    assert main(["finetune", "--config", str(cfg), "--ckpt", ckpt, "--ssd"]) == 0
-    assert seen and all(drop for drop, _window in seen)
