@@ -24,6 +24,7 @@ from .rng import SeededRng
 from .tensor import Tensor
 
 CE_LOG_EPS = 1e-12
+EVAL_BATCH_SIZE = 32  # rows per forward of a held-out evaluation
 
 
 class TransferObjective(enum.Enum):
@@ -68,7 +69,7 @@ class TrainConfig:
     batch_size: int = 16
     accumulation: int = 4
     seed: int = 0
-    adam_eps = ADAM_EPS  # class constants, not fields: no config key sets them
+    adam_eps = ADAM_EPS  # class constants for perfbench's AdamW check; no config key sets them
     weight_decay = WEIGHT_DECAY
 
 
@@ -174,9 +175,8 @@ def _epoch(opt, batches, accumulation, step_attn, loss_fn):
     return float(np.mean(losses)), sum(clamps)
 
 
-def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_fn,
-           accumulation, heldout=None, eval_attn=None, plateau=False,
-           checkpoint_fn=None, eval_gap_fn=None):
+def _train(model, stage, lr, epochs, batches, step_attn, loss_fn, accumulation,
+           heldout=None, eval_attn=None, plateau=False, checkpoint_fn=None, eval_gap_fn=None):
     """The optimisation loop of every stage, over the model's trainable
     parameters.
 
@@ -188,8 +188,7 @@ def _train(model, cfg: TrainConfig, stage, lr, epochs, batches, step_attn, loss_
     drives reduce-on-plateau if `plateau`; then `checkpoint_fn(model,
     epoch)`; then an early stop once `eval_gap_fn(model)` is non-positive.
     """
-    opt = AdamW(model.trainable_parameters(), lr, eps=cfg.adam_eps,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW(model.trainable_parameters(), lr)
     sched = ReduceOnPlateau(opt) if plateau else None
     report = StageReport(stage=stage)
     t0 = time.perf_counter()
@@ -225,7 +224,7 @@ def run_base_training(model: Model, cfg: TrainConfig, train, heldout, epochs):
 
     # constant lr: associative recall learns via a late phase transition, and
     # decaying on the pre-transition plateau can prevent it entirely
-    return _train(model, cfg, "base", cfg.lr_base, epochs, batches,
+    return _train(model, "base", cfg.lr_base, epochs, batches,
                   lambda _epoch, _s: attn, lambda idx, a: _lm_batch_loss(model, train, idx, a)[1],
                   cfg.accumulation, heldout=heldout, eval_attn=attn)
 
@@ -256,11 +255,11 @@ def run_attention_transfer(model: Model, objective, cfg: TrainConfig, data, win,
         return loss * (1.0 / model.cfg.n_heads)  # sum layers, mean heads
 
     base_attn = AttnSettings(kind="softmax")
-    return _train(model, cfg, "post-transfer", cfg.lr_transfer, epochs, lambda _epoch: batches,
+    return _train(model, "post-transfer", cfg.lr_transfer, epochs, lambda _epoch: batches,
                   lambda _epoch, _s: base_attn, loss_fn, accumulation=1)
 
 
-def evaluate_lm(model, data, attn, batch_size=32):
+def evaluate_lm(model, data, attn, batch_size=EVAL_BATCH_SIZE):
     """Held-out mean LM loss of a dataset dict, weighting each of its
     `scored_batches` by its rows; under `Model.no_grad`, so with no tape."""
     total = 0.0
@@ -295,7 +294,7 @@ def run_finetune(model: Model, cfg: TrainConfig, ssd, train, heldout, win, hy, e
 
     eval_attn = AttnSettings(kind="hybrid", mode=AblationMode.FULL_HYBRID,
                              win=win, hy=hy)
-    return _train(model, cfg, "post-finetune", cfg.lr_finetune, epochs, lambda _epoch: batches,
+    return _train(model, "post-finetune", cfg.lr_finetune, epochs, lambda _epoch: batches,
                   step_attn, lambda idx, a: _lm_batch_loss(model, train, idx, a)[1],
                   cfg.accumulation, heldout=heldout, eval_attn=eval_attn, plateau=True,
                   checkpoint_fn=checkpoint_fn, eval_gap_fn=eval_gap_fn)

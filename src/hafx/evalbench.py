@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from .attention import AblationMode, linear_attention
-from .convert import scored_batches
+from .convert import EVAL_BATCH_SIZE, scored_batches
 from .errors import ContractError
 from .model import AttnSettings
 from .rng import SeededRng
@@ -25,7 +25,7 @@ def recovered_performance(mode_avg, base_avg):
     return 100.0 * mode_avg / base_avg
 
 
-def evaluate_task(model, data, attn: AttnSettings, batch_size=32):
+def evaluate_task(model, data, attn: AttnSettings, batch_size=EVAL_BATCH_SIZE):
     """(accuracy, mean loss, n_scored) of a task's `scored_batches`.
 
     Each batch's loss is weighted by its row count; every row of a task has

@@ -12,11 +12,10 @@ PLATEAU_MIN_DELTA = 1e-4  # the smallest drop in the metric that counts as impro
 
 
 class AdamW:
-    def __init__(self, params, lr, eps=ADAM_EPS, weight_decay=WEIGHT_DECAY):
+    def __init__(self, params, lr, weight_decay=WEIGHT_DECAY):
         # params: dict name -> Tensor; order fixed by sorted name for determinism
         self.params = dict(sorted(params.items()))
         self.lr = float(lr)
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -36,7 +35,7 @@ class AdamW:
             m_hat = self.m[name] / (1 - b1**self.t)
             v_hat = self.v[name] / (1 - b2**self.t)
             p.data = p.data - self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
+                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
             )
 
 

@@ -98,21 +98,37 @@ def conversion_datasets(cfg: RunConfig):
     return _merged_splits(cfg, cfg.transfer_specs())
 
 
+def _check_la_context(cfg: RunConfig, keys, windows):
+    """Refuse a hybrid run whose LA branch would see no key at one of the
+    `windows` that config `keys` set: without `attn.overlap`, query t sees
+    keys i <= t - window only."""
+    window = max(windows)
+    if not cfg["attn.overlap"] and window >= cfg["task.T"]:
+        raise ConfigError(f"{keys} {window} >= task.T {cfg['task.T']} "
+                          "without attn.overlap: linear attention would see no key")
+
+
 def eval_windows(cfg: RunConfig, tasks):
     """Collapse probe: associative recall is scored with the small eval
-    window so long-range pairs fall outside SWA's reach."""
+    window so long-range pairs fall outside SWA's reach. Refused by
+    `_check_la_context` if a window leaves LA no key."""
     sinks = cfg["attn.sinks"]
-    return {
+    wins = {
         name: WindowSpec(
             cfg["eval.window"] if name == "assoc_recall" else cfg["attn.window"], sinks
         )
         for name in tasks
     }
+    _check_la_context(cfg, "attn.window / eval.window", [w.window for w in wins.values()])
+    return wins
 
 
 def _prepare_out(cfg: RunConfig):
+    """The stage commands' prologue: refuse a window that leaves LA no key or
+    a malformed `stages.jsonl` before any write, then write `run.cfg`."""
+    _check_la_context(cfg, "attn.window / ssd.window", [cfg["attn.window"], *cfg["ssd.window"]])
     out = cfg.output_dir()
-    _read_stages(os.path.join(out, "stages.jsonl"))  # fail before a stage runs, not after
+    _read_stages(os.path.join(out, "stages.jsonl"))
     os.makedirs(out, exist_ok=True)
     with atomic_open(os.path.join(out, "run.cfg"), "w") as f:
         f.write(serialise_config(cfg))
@@ -127,23 +143,6 @@ def _save_stage(out, model, report):
     report.checkpoints.append(path)
     record_stage(os.path.join(out, "stages.jsonl"), report.to_dict())
     return path
-
-
-def _check_la_context(cfg: RunConfig, keys, windows):
-    """Refuse a hybrid run whose LA branch would see no key at one of the
-    `windows` that config `keys` set: without `attn.overlap`, query t sees
-    keys i <= t - window only."""
-    window = max(windows)
-    if not cfg["attn.overlap"] and window >= cfg["task.T"]:
-        raise ConfigError(f"{keys} {window} >= task.T {cfg['task.T']} "
-                          "without attn.overlap: linear attention would see no key")
-
-
-def _checked_eval_windows(cfg: RunConfig, tasks):
-    """`eval_windows`, refused by `_check_la_context` if one bypasses LA."""
-    wins = eval_windows(cfg, tasks)
-    _check_la_context(cfg, "attn.window / eval.window", [w.window for w in wins.values()])
-    return wins
 
 
 def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
@@ -161,7 +160,6 @@ def _base_checkpoint(cfg: RunConfig, base_ckpt, out):
 def cmd_transfer(cfg: RunConfig, base_ckpt=None):
     """Attention transfer per `objective` from the base checkpoint (trained
     first when none is given); writes `post-transfer.ckpt`."""
-    _check_la_context(cfg, "attn.window / ssd.window", [cfg["attn.window"], *cfg["ssd.window"]])
     out = _prepare_out(cfg)
     model, _stage = load_model(_base_checkpoint(cfg, base_ckpt, out))
     if model.phi is None:
@@ -185,7 +183,6 @@ def cmd_finetune(cfg: RunConfig, ckpt, eval_gap_fn=None):
     if model.phi is None:
         raise ContractError(f"{ckpt} has no feature maps; fine-tuning starts from a "
                             "post-transfer checkpoint")
-    _check_la_context(cfg, "attn.window / ssd.window", [cfg["attn.window"], *cfg["ssd.window"]])
     out = _prepare_out(cfg)
     if model.lora is None:
         model.lora_attach(
@@ -211,7 +208,7 @@ def cmd_hedgecats(cfg: RunConfig, base_ckpt=None):
     most, stopped once the hybrid-vs-SWA-only eval gap closes. Both stages
     run on the config that says so, which `run.cfg` records."""
     evals = eval_datasets(cfg)
-    wins = _checked_eval_windows(cfg, evals)
+    wins = eval_windows(cfg, evals)
     cfg = RunConfig(dict(cfg.values, objective="weights_ce", **{
         "ssd.dropout": [], "ssd.window": [], "train.finetune_epochs": cfg["train.stage2_epochs"]}))
     _, stage1 = cmd_transfer(cfg, base_ckpt)
@@ -233,11 +230,13 @@ def cmd_ssd_run(cfg: RunConfig, base_ckpt=None):
 
 
 def cmd_ablate(cfg: RunConfig, ckpt, modes=ALL_MODES, csv_name="ablation.csv"):
+    """Write the ablation table of `ckpt` to `<output_dir>/<csv_name>`, and nothing else."""
     evals = eval_datasets(cfg)
-    wins = _checked_eval_windows(cfg, evals)
+    wins = eval_windows(cfg, evals)
     model, stage = load_model(ckpt)
-    out = _prepare_out(cfg)
     report = evaluate_ablations(model, evals, cfg.hybrid(), wins, modes=modes, stage=stage)
+    out = cfg.output_dir()
+    os.makedirs(out, exist_ok=True)
     path = write_csv(
         os.path.join(out, csv_name),
         ("stage", "mode", "task", "metric", "value", "recovered_pct"),
@@ -250,7 +249,7 @@ def cmd_eval(cfg: RunConfig, ckpt, mode):
     """{task: accuracy, loss, n} of `mode_scores` under ablation `mode`, or
     under full softmax when `mode` is None, and the checkpoint's stage."""
     evals = eval_datasets(cfg)
-    wins = eval_windows(cfg, evals) if mode is None else _checked_eval_windows(cfg, evals)
+    wins = None if mode is None else eval_windows(cfg, evals)
     model, stage = load_model(ckpt)
     scores = mode_scores(model, evals, mode, cfg.hybrid(), wins)
     return stage, {name: {"accuracy": acc, "loss": loss, "n": n}

@@ -58,6 +58,14 @@ class TaskSpec:
         if self.kind == "copy" and CHAR_OFFSET + self.copy_symbols > self.vocab:
             raise ConfigError(f"copy ids {CHAR_OFFSET}..{CHAR_OFFSET + self.copy_symbols - 1} "
                               f"exceed the vocabulary of {self.vocab}")
+        if self.kind == "char_lm":
+            corpus, n_chars = _char_corpus()
+            if CHAR_OFFSET + n_chars > self.vocab:
+                raise ConfigError(f"char-LM ids {CHAR_OFFSET}..{CHAR_OFFSET + n_chars - 1} "
+                                  f"exceed the vocabulary of {self.vocab}")
+            if self.T > len(corpus) - 2:  # starts are drawn from [0, len - T - 1)
+                raise ConfigError(f"task.T = {self.T} does not fit the {len(corpus)}-character "
+                                  f"char-LM corpus (at most {len(corpus) - 2})")
         if 2 + self.n_keys + self.n_values > self.vocab:
             raise ConfigError("key/value ids exceed the vocabulary")
 
@@ -105,13 +113,10 @@ def _copy_example(spec, rng):
     return tokens, targets, mask, mask.astype(bool)
 
 
-def _char_corpus(vocab):
-    text = (
-        importlib.resources.files("hafx.data").joinpath("charlm.txt").read_text()
-    )
+def _char_corpus():
+    """The packaged char-LM text as token ids, and the size of its alphabet."""
+    text = importlib.resources.files("hafx.data").joinpath("charlm.txt").read_text()
     charset = sorted(set(text))
-    if CHAR_OFFSET + len(charset) > vocab:
-        raise ConfigError("char-LM alphabet does not fit the vocabulary")
     lut = {c: CHAR_OFFSET + i for i, c in enumerate(charset)}
     ids = np.array([lut[c] for c in text], dtype=np.int64)
     return ids, len(charset)
@@ -134,10 +139,7 @@ def gen_task(spec: TaskSpec, split, eval_set=None):
     if split == "train" and eval_set is None:
         raise ContractError("a train split needs its eval split, whose rows it excludes")
     rng = SeededRng(spec.seed, f"task/{spec.kind}/{split}")
-    corpus, n_chars = _char_corpus(spec.vocab) if spec.kind == "char_lm" else (None, None)
-    if corpus is not None and spec.T > len(corpus) - 2:  # starts are drawn from [0, len - T - 1)
-        raise ConfigError(f"task.T = {spec.T} does not fit the {len(corpus)}-character "
-                          f"char-LM corpus (at most {len(corpus) - 2})")
+    corpus, n_chars = _char_corpus() if spec.kind == "char_lm" else (None, None)
 
     forbidden = {row.tobytes() for row in eval_set["tokens"]} if split == "train" else set()
 

@@ -304,7 +304,7 @@ def test_failed_run_cfg_write_keeps_the_earlier_file(tmp_path, monkeypatch):
             raise RuntimeError("cannot format")
 
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path))
-    cfg = parse_config("seed = 3\n")
+    cfg = parse_config("seed = 3\nattn.window = 8\n")
     _prepare_out(cfg)
     path = tmp_path / "run.cfg"
     before = path.read_text()
@@ -556,6 +556,34 @@ def test_hedgecats_finetunes_from_its_post_transfer_checkpoint(tmp_path, monkeyp
         assert (hedge / name).read_bytes() == (replay / name).read_bytes(), name
 
 
+def test_ablate_keeps_the_run_cfg_of_the_stages_before_it(tmp_path, monkeypatch, capsys):
+    """As in `configs/hedgecats.cfg`, `hafx ablate` after `hafx hedgecats`
+    on the same config and output_dir: ablation is not a stage, so run.cfg
+    still records the config HedgeCATs' checkpoints ran."""
+    cfg = tmp_path / "hedgecats.cfg"
+    cfg.write_text(CRITERION9 + "train.stage2_epochs = 1\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["hedgecats", "--config", str(cfg)]) == 0
+    ran = RunConfig(dict(load_config(cfg).values, objective="weights_ce", **{
+        "ssd.dropout": [], "ssd.window": [], "train.finetune_epochs": 1}))
+    assert (out / "run.cfg").read_text() == serialise_config(ran)
+    ckpt = str(out / "post-transfer.ckpt")
+    assert main(["ablate", "--config", str(cfg), "--ckpt", ckpt]) == 0
+    capsys.readouterr()
+    assert (out / "run.cfg").read_text() == serialise_config(ran)
+
+
+def test_ablate_writes_only_its_csv(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9)
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["ablate", "--config", str(cfg), "--ckpt", post_transfer_checkpoint(tmp_path)]) == 0
+    capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == ["ablation.csv"]
+
+
 @pytest.mark.parametrize("command", ["eval", "finetune", "ablate"])
 def test_malformed_checkpoint_is_an_error_line(tmp_path, monkeypatch, capsys, command):
     from hafx.checkpoint import save_checkpoint
@@ -650,7 +678,7 @@ def test_char_lm_task_longer_than_its_corpus_is_an_error_line(tmp_path, monkeypa
     monkeypatch.setenv("HAFX_OUTPUT_DIR", str(tmp_path / "out"))
     assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--mode", "softmax"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: task.T = 2477 ") and "2478-character" in err
+    assert err.startswith(f"error: {cfg}: task.*: task.T = 2477 ") and "2478-character" in err
 
 
 @pytest.mark.parametrize("line", ["garbage", "[1]", '{"stage": 3}', '{"epoch_losses": []}'])
@@ -692,6 +720,21 @@ def test_copy_alphabet_beyond_the_vocabulary_is_an_error_line_before_any_write(
     assert main(["transfer", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: task.*: copy ids 2..17 exceed the vocabulary of 10")
+    assert not out.exists()
+
+
+def test_char_lm_alphabet_beyond_the_vocabulary_is_an_error_line_before_any_write(
+        tmp_path, monkeypatch, capsys):
+    """The packaged corpus has 33 characters, ids 2..34, so a vocabulary of
+    32 cannot hold them; the parser refuses the config before a base model
+    is trained."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CRITERION9 + "task.transfer_kinds = char_lm\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("HAFX_OUTPUT_DIR", str(out))
+    assert main(["transfer", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: task.*: char-LM ids 2..34 exceed the vocabulary of 32\n"
     assert not out.exists()
 
 

@@ -184,7 +184,7 @@ def test_transfer_loss_gradients_vs_finite_diff(objective):
 
 def test_adamw_first_step_hand_computed():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1, eps=1e-8, weight_decay=0.0)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
     p.grad = np.array([0.5])
     opt.step()
     # first step: m_hat = g, v_hat = g^2 -> update ~= lr * sign(g)

@@ -1,4 +1,4 @@
-"""Digest the checkpoints and CSVs that four small conversion runs write.
+"""Digest the checkpoints, CSVs and `run.cfg` files of four small conversion runs.
 
 A refactor that must not change results leaves this output unchanged. Run
 the script against the source tree before and after the change and diff:
@@ -11,13 +11,11 @@ to this script), and OUT_DIR must not exist yet. Each config runs
 `cmd_hedgecats` from the same base checkpoint and `cmd_ablate` on the
 HedgeCATs post-finetune and post-transfer checkpoints, and `cmd_eval` on
 the ssd run's fine-tuned checkpoint under full softmax (mode None) and
-under LA only. Both `cmd_eval(cfg, ckpt, mode)` calls read the same way
-on a tree whose `cmd_eval` still takes a `softmax` flag, so one script
-diffs trees from either side of that change.
-The output is one `sha256  path` line per `.ckpt`/`.csv` file, then every
-`stages.jsonl` record with `wall_time_s` dropped and paths made relative to
-OUT_DIR, then one `config/eval-mode: stage task accuracy loss n` line per
-task of each `cmd_eval`, with its floats in `repr`.
+under LA only.
+The output is one `sha256  path` line per `.ckpt`, `.csv` and `run.cfg`
+file, then every `stages.jsonl` record with `wall_time_s` dropped and paths
+made relative to OUT_DIR, then one `config/eval-mode: stage task accuracy
+loss n` line per task of each `cmd_eval`, with its floats in `repr`.
 """
 
 import argparse
@@ -102,7 +100,7 @@ def digest(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)
-            if name.endswith((".ckpt", ".csv")):
+            if name.endswith((".ckpt", ".csv")) or name == "run.cfg":
                 with open(path, "rb") as f:
                     lines.append(f"{hashlib.sha256(f.read()).hexdigest()}  {rel}")
             elif name == "stages.jsonl":
@@ -132,7 +130,7 @@ def main(argv=None):
         evals += run_config(pipelines, parse_config(text), os.path.join(root, name))
     lines, stages = digest(root)
     print("\n".join(lines + stages + evals))
-    print(f"# {len(lines)} .ckpt/.csv files, {len(stages)} stage records, "
+    print(f"# {len(lines)} .ckpt/.csv/run.cfg files, {len(stages)} stage records, "
           f"{len(evals)} eval lines", file=sys.stderr)
 
 
